@@ -6,7 +6,10 @@
 #   make test           race-enabled test suite only
 #   make cover          enforce statement-coverage floors on kernel, mcu,
 #                       and the profiler
-#   make fuzz           10s differential fuzz campaign
+#   make fuzz           10s differential fuzz campaign, then 10s of the
+#                       trace-exporter byte-identity fuzz
+#   make perfbench      the repository benchmark's own tests (nested module
+#                       perfbench/: golden gate, negative tests, smoke runs)
 #   make bench          run the seven benchmarks profiled vs unprofiled and
 #                       regenerate BENCH_profile.json
 #   make bench-parallel regenerate BENCH_parallel.json
@@ -57,9 +60,9 @@ TRACE_COVER_FLOOR = 75
 # introduced).
 TIMETRAVEL_COVER_FLOOR = 75
 
-.PHONY: ci build vet test cover fmt-check fuzz bench bench-parallel bench-interp bench-diff faultcampaign checkpoint energy debug
+.PHONY: ci build vet test cover fmt-check fuzz perfbench bench bench-parallel bench-interp bench-diff faultcampaign checkpoint energy debug
 
-ci: fmt-check vet build test cover fuzz bench-interp bench-diff faultcampaign checkpoint energy debug
+ci: fmt-check vet build test cover fuzz perfbench bench-interp bench-diff faultcampaign checkpoint energy debug
 
 build:
 	$(GO) build ./...
@@ -96,6 +99,12 @@ fmt-check:
 
 fuzz:
 	$(GO) test ./internal/experiment -run '^FuzzDifferential$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^FuzzTraceExport$$' -fuzz '^FuzzTraceExport$$' -fuzztime $(FUZZTIME)
+
+# perfbench/ is a nested module, so the root `go test ./...` never reaches
+# its tests.
+perfbench:
+	cd perfbench && $(GO) test .
 
 bench:
 	$(GO) run ./cmd/sensmart-bench -exp profilebench -out BENCH_profile.json

@@ -100,7 +100,9 @@ func Encode(st *State) ([]byte, error) {
 	if st == nil || st.Machine == nil || st.Kernel == nil {
 		return nil, fmt.Errorf("snapshot: encode: machine and kernel state are required")
 	}
-	var e enc
+	// The header is reserved up front and filled in place once the payload
+	// is known, so the blob is never copied behind a fresh header.
+	e := enc{b: make([]byte, headerSize)}
 	e.machineState(st.Machine)
 	e.kernelState(st.Kernel)
 	e.optional(st.Trace != nil)
@@ -119,14 +121,15 @@ func Encode(st *State) ([]byte, error) {
 	if st.Energy != nil {
 		e.energyState(st.Energy)
 	}
-	payload := e.b
-	out := make([]byte, 0, headerSize+len(payload))
-	out = append(out, magic...)
-	out = le32(out, SchemaVersion)
-	out = le64(out, uint64(len(payload)))
+	blob := e.b
+	payload := blob[headerSize:]
 	sum := sha256.Sum256(payload)
-	out = append(out, sum[:]...)
-	return append(out, payload...), nil
+	// Appending to blob[:0] overwrites the reserved header in place.
+	hdr := append(blob[:0], magic...)
+	hdr = le32(hdr, SchemaVersion)
+	hdr = le64(hdr, uint64(len(payload)))
+	_ = append(hdr, sum[:]...)
+	return blob, nil
 }
 
 // Decode parses and validates a blob produced by Encode. It returns a typed

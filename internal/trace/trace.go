@@ -18,7 +18,7 @@ package trace
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Kind classifies a trace event.
@@ -312,14 +312,45 @@ func (r *Recorder) Dropped() uint64 { return r.dropped }
 // Reset discards all recorded events (the Limit is kept).
 func (r *Recorder) Reset() { r.events = r.events[:0]; r.dropped = 0 }
 
+// encodeLineFields presizes the Encode line fields other than the cycle
+// stamp and the detail: kernel streams are mostly trap enter/exit lines
+// whose small integers average about 13 bytes with separators and quotes.
+const encodeLineFields = 16
+
 // Encode renders the stream as a canonical text dump, one event per line —
-// the byte-identical form the determinism tests compare.
+// the byte-identical form the determinism tests compare. Each line is
+// "cycle kind task arg arg2 pc detail" with integers in decimal and the
+// detail Go-quoted (the rendering of fmt's "%d %d %d %d %d %d %q\n").
 func (r *Recorder) Encode() []byte {
-	var b strings.Builder
-	for _, e := range r.events {
-		fmt.Fprintf(&b, "%d %d %d %d %d %d %q\n", e.Cycle, uint8(e.Kind), e.Task, e.Arg, e.Arg2, e.PC, e.Detail)
+	// Size every line by the last (largest) cycle stamp, so one allocation
+	// usually holds the whole dump.
+	size := 0
+	if n := len(r.events); n > 0 {
+		var digits [20]byte
+		size = n * (encodeLineFields + len(strconv.AppendUint(digits[:0], r.events[n-1].Cycle, 10)))
 	}
-	return []byte(b.String())
+	for i := range r.events {
+		size += len(r.events[i].Detail)
+	}
+	b := make([]byte, 0, size)
+	for i := range r.events {
+		e := &r.events[i]
+		b = strconv.AppendUint(b, e.Cycle, 10)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, uint64(e.Kind), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(e.Task), 10)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, e.Arg, 10)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, e.Arg2, 10)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, uint64(e.PC), 10)
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, e.Detail)
+		b = append(b, '\n')
+	}
+	return b
 }
 
 // TaskNames derives the id-to-name table from the spawn events in the
