@@ -6,8 +6,9 @@
 #   make test           race-enabled test suite only
 #   make cover          enforce statement-coverage floors on kernel, mcu,
 #                       and the profiler
-#   make fuzz           10s differential fuzz campaign, then 10s of the
-#                       trace-exporter byte-identity fuzz
+#   make fuzz           every fuzz target for FUZZTIME (default 10s) each: the
+#                       differential and adversarial-image campaigns, block
+#                       invalidation, snapshot round-trip, trace export
 #   make perfbench      the repository benchmark's own tests (nested module
 #                       perfbench/: golden gate, negative tests, smoke runs)
 #   make bench          run the seven benchmarks profiled vs unprofiled and
@@ -97,9 +98,20 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# Each entry is package:target; `go test -fuzz` takes one target at a time.
+FUZZ_TARGETS = \
+	./internal/experiment:FuzzDifferential \
+	./internal/experiment:FuzzAdversarialImage \
+	./internal/mcu:FuzzBlockInvalidation \
+	./internal/snapshot:FuzzSnapshotRoundTrip \
+	./internal/trace:FuzzTraceExport
+
 fuzz:
-	$(GO) test ./internal/experiment -run '^FuzzDifferential$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/trace -run '^FuzzTraceExport$$' -fuzz '^FuzzTraceExport$$' -fuzztime $(FUZZTIME)
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "fuzz $$pkg $$fn"; \
+		$(GO) test $$pkg -run "^$$fn\$$" -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME); \
+	done
 
 # perfbench/ is a nested module, so the root `go test ./...` never reaches
 # its tests.
@@ -134,8 +146,9 @@ bench-diff:
 
 # Race-enabled campaign smoke: 3 trials per benchmark keeps it a few seconds
 # while still exercising every injection kind and the full verdict pipeline.
-# The golden 20-trial table is pinned by TestGoldenContainmentTable in
-# `make test`; this target proves the CLI path end to end under -race.
+# The golden table (20 trials per benchmark) is pinned by
+# TestGoldenContainmentTable in `make test`; this target proves the CLI path
+# end to end under -race.
 faultcampaign:
 	$(GO) run -race ./cmd/sensmart-bench -exp faultcampaign -seed 1 -trials 3 -out /tmp/BENCH_faultcampaign_smoke.json
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/mcu"
 	"repro/internal/snapshot"
 )
 
@@ -106,11 +107,9 @@ func (s *System) AdoptImage(parent *System) {
 // whose cycle clock has reached at, the system captures a snapshot and hands
 // it to fn (with the capture error, if any). Arming a checkpoint never
 // perturbs the run — the hook fires only at boundaries the run would reach
-// anyway. fn may call ArmCheckpoint again to chain a later checkpoint, and
-// may call snapshot.Encode to persist the state; it must not call Run,
-// Restore, or Boot on this system.
+// anyway. Any number may be pending at once; fn may arm another, and may call
+// snapshot.Encode to persist the state; it must not call Run, Restore, or
+// Boot on this system.
 func (s *System) ArmCheckpoint(at uint64, fn func(st *snapshot.State, err error)) {
-	s.machine.SetCheckpoint(at, func(uint64) {
-		fn(s.Snapshot())
-	})
+	s.machine.Arm(mcu.HookCheckpoint, at, 0, func(uint64) { fn(s.Snapshot()) })
 }

@@ -2,62 +2,13 @@ package experiment
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/energy"
 	"repro/internal/snapshot"
 	"repro/internal/timetravel"
 )
-
-// The seek-identity differential suite: for every kernel benchmark, record
-// one run under a time-travel checkpoint ring, then Seek to the same probe
-// cycles the resume-identity suite uses (sampling boundary, mid-trap window,
-// seeded random cycles) — from the in-memory ring and from the snapshot wire
-// bytes — and require the landed system to be byte-identical to a straight
-// checked run to the same cycle: the full snapshot encoding plus all five
-// artifact streams. Serially and under an 8-way worker pool.
-
-// seekSystem builds the same fully observed system shape as ckptSystem; it
-// is the Debugger factory, so every replay carries every observer.
-func seekSystem(name string) func() (*core.System, error) {
-	return func() (*core.System, error) {
-		o, err := ckptSystem(name)
-		if err != nil {
-			return nil, err
-		}
-		return o.sys, nil
-	}
-}
-
-// sysArtifacts collects the five identity streams from a bare system handle
-// (the Inspector exposes the system, not the ckptObservers wrapper).
-func sysArtifacts(sys *core.System) (ckptArtifacts, error) {
-	var a ckptArtifacts
-	a.metrics = []byte(sys.Metrics().Render())
-	a.trace = sys.Trace().Encode()
-	var nb, pb bytes.Buffer
-	if err := sys.Telemetry().WriteNDJSON(&nb); err != nil {
-		return a, err
-	}
-	a.ndjson = nb.Bytes()
-	if err := sys.Profile().WritePprof(&pb); err != nil {
-		return a, err
-	}
-	a.pprof = pb.Bytes()
-	eb, err := json.Marshal(struct {
-		State     *energy.MeterState
-		Breakdown energy.Breakdown
-	}{sys.Energy().CaptureState(), sys.Energy().Report(sys.Machine().Cycles())})
-	if err != nil {
-		return a, err
-	}
-	a.energy = eb
-	return a, nil
-}
 
 func encodeSys(sys *core.System) ([]byte, error) {
 	st, err := sys.Snapshot()
@@ -67,69 +18,16 @@ func encodeSys(sys *core.System) ([]byte, error) {
 	return snapshot.Encode(st)
 }
 
-// seekFixture is one benchmark's recorded debugger plus its probe cycles.
-type seekFixture struct {
-	name   string
-	dbg    *timetravel.Debugger
-	probes []ckptPoint
-}
-
-var seekFix struct {
-	once sync.Once
-	list []*seekFixture
-	err  error
-}
-
-// seekFixtures records (once per test binary) every kernel benchmark under
-// an 8-slot ring sized so early probes fall before the oldest retained
-// checkpoint (boot fallback) and late probes restore from the ring.
-func seekFixtures(t *testing.T) []*seekFixture {
-	t.Helper()
-	seekFix.once.Do(func() {
-		for _, f := range ckptFixtures(t) {
-			d, err := timetravel.New(seekSystem(f.name), timetravel.Config{
-				Checkpoints: 8,
-				Every:       f.total / 12,
-			})
-			if err == nil {
-				err = d.Record(ckptLimit)
-			}
-			if err != nil {
-				seekFix.err = fmt.Errorf("%s: record: %w", f.name, err)
-				return
-			}
-			if d.End() != f.total {
-				seekFix.err = fmt.Errorf("%s: recorded run ended at %d, baseline at %d (arming the ring perturbed the run)",
-					f.name, d.End(), f.total)
-				return
-			}
-			seekFix.list = append(seekFix.list, &seekFixture{
-				name:   f.name,
-				dbg:    d,
-				probes: ckptPoints(f.name, f.total, d.Recorded().Trace().Events()),
-			})
-		}
-	})
-	if seekFix.err != nil {
-		t.Fatalf("building seek fixtures: %v", seekFix.err)
-	}
-	return seekFix.list
-}
-
-// seekCheck seeks fixture sf to cycle via the given variant and compares the
-// landed system against a straight checked run: snapshot bytes first, then
-// every artifact stream. Returns "" on identity.
-func seekCheck(sf *seekFixture, cycle uint64, variant string) (string, error) {
-	seek := sf.dbg.Seek
-	if variant == "bytes" {
-		seek = sf.dbg.SeekBytes
-	}
+// seekCheck seeks fixture f's recording to cycle and compares the landed
+// system against a straight checked run: snapshot bytes first, then every
+// artifact stream. Returns "" on identity.
+func seekCheck(f *ckptFixture, cycle uint64, seek func(uint64) (*timetravel.Inspector, error)) (string, error) {
 	insp, err := seek(cycle)
 	if err != nil {
 		return "", fmt.Errorf("seek: %w", err)
 	}
 
-	ref, err := seekSystem(sf.name)()
+	ref, err := ckptSystem(f.name)
 	if err != nil {
 		return "", err
 	}
@@ -155,11 +53,11 @@ func seekCheck(sf *seekFixture, cycle uint64, variant string) (string, error) {
 	if !bytes.Equal(gotBlob, wantBlob) {
 		return "snapshot bytes diverge from straight run", nil
 	}
-	got, err := sysArtifacts(insp.System())
+	got, err := artifactsOf(insp.System())
 	if err != nil {
 		return "", err
 	}
-	want, err := sysArtifacts(ref)
+	want, err := artifactsOf(ref)
 	if err != nil {
 		return "", err
 	}
@@ -169,88 +67,26 @@ func seekCheck(sf *seekFixture, cycle uint64, variant string) (string, error) {
 	return "", nil
 }
 
-// TestSeekIdentitySerial pins seek identity benchmark by benchmark over
-// every probe kind and both restore paths.
-func TestSeekIdentitySerial(t *testing.T) {
-	for _, sf := range seekFixtures(t) {
-		sf := sf
-		t.Run(sf.name, func(t *testing.T) {
-			for _, p := range sf.probes {
-				for _, variant := range []string{"ring", "bytes"} {
-					d, err := seekCheck(sf, p.at, variant)
-					if err != nil {
-						t.Fatalf("%s/%s at cycle %d: %v", p.kind, variant, p.at, err)
-					}
-					if d != "" {
-						t.Errorf("%s/%s at cycle %d: %s", p.kind, variant, p.at, d)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestSeekIdentityPooled runs the same benchmark x probe x variant matrix
-// through the experiment worker pool at 8 workers; under -race this pins
-// concurrent seeks out of one shared debugger (copy-on-write image adoption
-// included) as race-free.
-func TestSeekIdentityPooled(t *testing.T) {
-	fixtures := seekFixtures(t)
-	type job struct {
-		sf      *seekFixture
-		at      uint64
-		kind    string
-		variant string
-	}
-	var jobs []job
-	for _, sf := range fixtures {
-		for _, p := range sf.probes {
-			for _, variant := range []string{"ring", "bytes"} {
-				jobs = append(jobs, job{sf, p.at, p.kind, variant})
-			}
-		}
-	}
-	diffs, err := runPoints(8, len(jobs), func(i int) (string, error) {
-		j := jobs[i]
-		d, err := seekCheck(j.sf, j.at, j.variant)
-		if err != nil {
-			return "", fmt.Errorf("%s %s/%s at cycle %d: %w", j.sf.name, j.kind, j.variant, j.at, err)
-		}
-		if d != "" {
-			return fmt.Sprintf("%s %s/%s at cycle %d: %s", j.sf.name, j.kind, j.variant, j.at, d), nil
-		}
-		return "", nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diffs {
-		if d != "" {
-			t.Error(d)
-		}
-	}
-}
-
 // TestSeekFirstAgainstLinearScan pins SeekFirst's bisection on a real
 // workload: the first cycle at which the benchmark's UART transcript reaches
 // half its final length, verified against an exhaustive boundary-by-boundary
 // scan of a straight checked run.
 func TestSeekFirstAgainstLinearScan(t *testing.T) {
-	sf := seekFixtures(t)[0]
-	total := len(sf.dbg.Recorded().Machine().UARTOutput())
+	f := ckptFixtures(t)[0]
+	total := len(f.dbg.Recorded().Machine().UARTOutput())
 	if total < 2 {
-		t.Skipf("%s transmitted %d UART bytes; need at least 2", sf.name, total)
+		t.Skipf("%s transmitted %d UART bytes; need at least 2", f.name, total)
 	}
 	target := total / 2
 
-	insp, err := sf.dbg.SeekFirst(func(in *timetravel.Inspector) bool {
+	insp, err := f.dbg.SeekFirst(func(in *timetravel.Inspector) bool {
 		return len(in.System().Machine().UARTOutput()) >= target
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ref, err := seekSystem(sf.name)()
+	ref, err := ckptSystem(f.name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,26 +70,38 @@ func TestTranslatedSuiteIdentity(t *testing.T) {
 	}
 }
 
-// TestTranslationObserverByteIdentity pins the observer contract: attached
-// trace recorders and profilers force the checked Step path, so their output
-// must be byte-identical whether translation is enabled or not — fused
-// blocks must never leak into an observed run.
+// TestTranslationObserverByteIdentity pins the observer contract. A trace
+// recorder does not force the checked Step path, so the traced stream must be
+// byte-identical whether it was produced by fused blocks, the fast loop, or
+// stepwise execution. A profiler does force Step, so its output must not
+// change with translation on or off — fused blocks must never leak into a
+// profiled run.
 func TestTranslationObserverByteIdentity(t *testing.T) {
 	workload := tracedWorkload(t)
 
-	tracedBytes := func(threshold int) []byte {
+	tracedBytes := func(threshold int, stepwise bool) ([]byte, uint64) {
 		t.Helper()
 		rec := trace.New()
 		m := mcu.New()
 		m.SetTranslation(threshold)
+		m.SetStepwise(stepwise)
 		if _, err := runSenSmartOn(m, kernel.Config{Trace: rec}, 4_000_000_000,
 			workload[0].Clone(), workload[1].Clone()); err != nil {
 			t.Fatal(err)
 		}
-		return rec.Encode()
+		return rec.Encode(), m.TranslationStats().FusedInsts
 	}
-	if on, off := tracedBytes(1), tracedBytes(-1); !bytes.Equal(on, off) {
-		t.Errorf("trace streams differ with translation on vs off (%d vs %d bytes)", len(on), len(off))
+	fused, fusedInsts := tracedBytes(1, false)
+	fast, _ := tracedBytes(-1, false)
+	stepwise, _ := tracedBytes(-1, true)
+	if fusedInsts == 0 {
+		t.Error("the traced run with translation on executed no fused blocks")
+	}
+	if !bytes.Equal(fused, stepwise) {
+		t.Errorf("trace streams differ fused vs stepwise (%d vs %d bytes)", len(fused), len(stepwise))
+	}
+	if !bytes.Equal(fast, stepwise) {
+		t.Errorf("trace streams differ fast vs stepwise (%d vs %d bytes)", len(fast), len(stepwise))
 	}
 
 	profBytes := func(threshold int) []byte {

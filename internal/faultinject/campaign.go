@@ -248,7 +248,7 @@ func armPlan(o *outcome, p plan) *string {
 	}
 	switch p.kind {
 	case KindSRAMFlip, KindSRAMBurst:
-		m.SetInjector(p.at, func(m *mcu.Machine) {
+		m.Arm(mcu.HookInject, p.at, 0, func(uint64) {
 			if victim.State() == kernel.TaskTerminated {
 				return
 			}
@@ -268,13 +268,13 @@ func armPlan(o *outcome, p plan) *string {
 			record(Injection{Kind: p.kind, Addr: addr, Bit: p.bit, Len: p.burstLen})
 		})
 	case KindRegFlip, KindStackSmash, KindRetAddr:
-		var fn func(m *mcu.Machine)
-		fn = func(m *mcu.Machine) {
+		var fn func(uint64)
+		fn = func(uint64) {
 			if victim.State() == kernel.TaskTerminated {
 				return
 			}
 			if k.Current() != victim {
-				m.SetInjector(m.Cycles()+rearmDelay, fn)
+				m.Arm(mcu.HookInject, m.Cycles()+rearmDelay, 0, fn)
 				return
 			}
 			switch p.kind {
@@ -288,7 +288,7 @@ func armPlan(o *outcome, p plan) *string {
 				n := p.smashLen
 				if room := int(pu) - int(sp) - 1; room < int(n) {
 					if room <= 0 {
-						m.SetInjector(m.Cycles()+rearmDelay, fn)
+						m.Arm(mcu.HookInject, m.Cycles()+rearmDelay, 0, fn)
 						return
 					}
 					n = uint8(room)
@@ -297,15 +297,15 @@ func armPlan(o *outcome, p plan) *string {
 			case KindRetAddr:
 				_, _, pu := victim.Region()
 				if uint32(m.SP())+2 >= uint32(pu) { // no frame on the stack yet
-					m.SetInjector(m.Cycles()+rearmDelay, fn)
+					m.Arm(mcu.HookInject, m.Cycles()+rearmDelay, 0, fn)
 					return
 				}
 				record(Injection{Kind: KindRetAddr, Addr: p.target})
 			}
 		}
-		m.SetInjector(p.at, fn)
+		m.Arm(mcu.HookInject, p.at, 0, fn)
 	case KindRadio:
-		m.SetInjector(p.at, func(m *mcu.Machine) {
+		m.Arm(mcu.HookInject, p.at, 0, func(uint64) {
 			record(Injection{Kind: KindRadio, Payload: p.payload})
 		})
 	}

@@ -18,10 +18,8 @@
 package faultinject
 
 import (
-	"cmp"
 	"encoding/hex"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -120,39 +118,17 @@ func (in Injection) Apply(m *mcu.Machine) {
 	}
 }
 
-// Arm schedules the injection on the machine's one-shot injector hook.
+// Arm queues the injection on the machine as an inject entry.
 func (in Injection) Arm(m *mcu.Machine) {
-	m.SetInjector(in.At, in.Apply)
+	m.Arm(mcu.HookInject, in.At, 0, func(uint64) { in.Apply(m) })
 }
 
-// ArmAll schedules any number of injections on one machine by chaining
-// through the single one-shot injector hook in cycle order (the hook
-// disarms before firing, so a firing injection may re-arm the next one).
+// ArmAll arms every injection. Those due at one Step fire in (At, slice)
+// order.
 func ArmAll(m *mcu.Machine, ins []Injection) {
-	if len(ins) == 0 {
-		return
+	for _, in := range ins {
+		in.Arm(m)
 	}
-	sorted := slices.Clone(ins)
-	slices.SortStableFunc(sorted, func(a, b Injection) int {
-		return cmp.Compare(a.At, b.At)
-	})
-	var armFrom func(idx int)
-	armFrom = func(idx int) {
-		if idx >= len(sorted) {
-			return
-		}
-		m.SetInjector(sorted[idx].At, func(m *mcu.Machine) {
-			sorted[idx].Apply(m)
-			// Anything else already due fires in the same step.
-			j := idx + 1
-			for j < len(sorted) && sorted[j].At <= m.Cycles() {
-				sorted[j].Apply(m)
-				j++
-			}
-			armFrom(j)
-		})
-	}
-	armFrom(0)
 }
 
 // String renders the injection in the -inject flag syntax.

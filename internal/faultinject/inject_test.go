@@ -178,17 +178,28 @@ func TestArmFiresAtCycle(t *testing.T) {
 	}
 }
 
-// TestArmAllChains checks multiple injections on the single one-shot hook
-// fire in cycle order, including two due at the same firing.
+// TestArmAllChains checks injections armed together fire in (At, slice)
+// order, and that all of those due at one cycle fire in a single Step, in
+// line with entries armed around them.
 func TestArmAllChains(t *testing.T) {
 	m := loopMachine(t)
-	ins := []Injection{
+	m.SetSP(0x0FFF) // stack smashes land at SP+1 = 0x1000
+	type probe struct {
+		insts uint64
+		top   byte
+	}
+	var seen []probe
+	look := func(uint64) { seen = append(seen, probe{m.Instructions(), m.Peek(0x1000)}) }
+	m.Arm(mcu.HookInject, 30, 0, look)
+	ArmAll(m, []Injection{
 		{Kind: KindSRAMFlip, Addr: 0x282, Bit: 2, At: 30},
 		{Kind: KindSRAMFlip, Addr: 0x280, Bit: 0, At: 10},
-		{Kind: KindSRAMFlip, Addr: 0x283, Bit: 3, At: 30}, // same cycle as 0x282
+		{Kind: KindStackSmash, Len: 1, Value: 0xAA, At: 30},
+		{Kind: KindSRAMFlip, Addr: 0x283, Bit: 3, At: 30},
+		{Kind: KindStackSmash, Len: 1, Value: 0x55, At: 30}, // same cycle: overwrites 0xAA
 		{Kind: KindSRAMFlip, Addr: 0x281, Bit: 1, At: 20},
-	}
-	ArmAll(m, ins)
+	})
+	m.Arm(mcu.HookInject, 30, 0, look)
 	if err := m.Run(100); err != nil {
 		t.Fatal(err)
 	}
@@ -197,6 +208,9 @@ func TestArmAllChains(t *testing.T) {
 		if m.Peek(a) != want {
 			t.Errorf("chained injection %d: byte at %#x is %#x, want %#x", i, a, m.Peek(a), want)
 		}
+	}
+	if len(seen) != 2 || seen[0].insts != seen[1].insts || seen[0].top != 0 || seen[1].top != 0x55 {
+		t.Errorf("probes around the cycle-30 injections saw %+v, want one Step, before (0) and after (0x55)", seen)
 	}
 }
 

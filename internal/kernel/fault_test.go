@@ -39,7 +39,7 @@ loop:
 	if err := m.LoadFlash(badPC, []uint16{0xFFFF}); err != nil {
 		t.Fatal(err)
 	}
-	m.SetInjector(CostSysInit+4, func(m *mcu.Machine) {
+	m.Arm(mcu.HookInject, CostSysInit+4, 0, func(uint64) {
 		if cur := k.Current(); cur != tasks[0] {
 			return // only corrupt the victim
 		}
@@ -126,7 +126,7 @@ func TestUnknownTrapIDContained(t *testing.T) {
 	if err := m.LoadFlash(strayPC, []uint16{0x9598, 0xFFF0}); err != nil {
 		t.Fatal(err)
 	}
-	m.SetInjector(CostSysInit+2, func(m *mcu.Machine) {
+	m.Arm(mcu.HookInject, CostSysInit+2, 0, func(uint64) {
 		if k.Current() != tasks[0] {
 			return
 		}

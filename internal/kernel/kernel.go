@@ -233,7 +233,8 @@ func New(m *mcu.Machine, cfg Config) *Kernel {
 		m.SetRecorder(cfg.Trace)
 	}
 	if cfg.Telemetry != nil {
-		m.SetSampler(cfg.Telemetry.Every(), k.telemetrySample)
+		every := cfg.Telemetry.Every()
+		m.Arm(mcu.HookSample, (m.Cycles()/every+1)*every, every, k.telemetrySample)
 	}
 	if cfg.Energy != nil {
 		m.SetEnergyMeter(cfg.Energy)
@@ -244,22 +245,22 @@ func New(m *mcu.Machine, cfg Config) *Kernel {
 			Instr:     k.prof.OnInstr,
 			Idle:      k.prof.OnIdle,
 			Interrupt: k.prof.OnInterrupt,
-		})
-		// Native accesses (push/pop and unpatched loads/stores) carry
-		// physical addresses; translate through the running task's region
-		// before matching watchpoints, which are logical.
-		m.SetMemWatch(func(pc uint32, addr uint16, write bool) {
-			if len(k.prof.Watches()) == 0 {
-				return
-			}
-			logical := k.physToLogical(addr)
-			if k.prof.Watching(logical, write) {
-				task := int32(-1)
-				if t := k.Current(); t != nil {
-					task = int32(t.ID)
+			// Native accesses (push/pop and unpatched loads/stores) carry
+			// physical addresses; translate through the running task's
+			// region before matching watchpoints, which are logical.
+			Mem: func(pc uint32, addr uint16, write bool) {
+				if len(k.prof.Watches()) == 0 {
+					return
 				}
-				k.prof.Watch(k.M.Cycles(), task, pc, logical, write)
-			}
+				logical := k.physToLogical(addr)
+				if k.prof.Watching(logical, write) {
+					task := int32(-1)
+					if t := k.Current(); t != nil {
+						task = int32(t.ID)
+					}
+					k.prof.Watch(k.M.Cycles(), task, pc, logical, write)
+				}
+			},
 		})
 	}
 	return k

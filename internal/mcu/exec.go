@@ -38,8 +38,8 @@ func (m *Machine) loadByte(addr uint16) (byte, error) {
 	if m.guardOn && (addr < m.guardLo || addr >= m.guardHi) {
 		return 0, m.faultf(FaultMemGuard, addr, "native load outside task region")
 	}
-	if m.memWatch != nil {
-		m.memWatch(m.pc, addr, false)
+	if m.prof.Mem != nil {
+		m.prof.Mem(m.pc, addr, false)
 	}
 	return m.data[addr], nil
 }
@@ -54,8 +54,8 @@ func (m *Machine) storeByte(addr uint16, v byte) error {
 	if m.guardOn && (addr < m.guardLo || addr >= m.guardHi) {
 		return m.faultf(FaultMemGuard, addr, "native store outside task region")
 	}
-	if m.memWatch != nil {
-		m.memWatch(m.pc, addr, true)
+	if m.prof.Mem != nil {
+		m.prof.Mem(m.pc, addr, true)
 	}
 	m.data[addr] = v
 	return nil
@@ -68,8 +68,8 @@ func (m *Machine) pushByte(b byte) {
 		m.faultf(FaultStackOverflow, sp, "push outside task region")
 		return
 	}
-	if m.memWatch != nil {
-		m.memWatch(m.pc, sp, true)
+	if m.prof.Mem != nil {
+		m.prof.Mem(m.pc, sp, true)
 	}
 	m.data[sp%DataSize] = b
 	m.SetSP(sp - 1)
@@ -85,8 +85,8 @@ func (m *Machine) popByte() byte {
 		return 0
 	}
 	m.SetSP(sp)
-	if m.memWatch != nil {
-		m.memWatch(m.pc, sp, false)
+	if m.prof.Mem != nil {
+		m.prof.Mem(m.pc, sp, false)
 	}
 	return m.data[sp%DataSize]
 }

@@ -2,6 +2,7 @@ package mcu
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -16,7 +17,7 @@ loop:
     rjmp loop
 `)
 	var fired []uint64
-	m.SetInjector(50, func(m *Machine) {
+	m.Arm(HookInject, 50, 0, func(uint64) {
 		fired = append(fired, m.Cycles())
 		m.SetReg(20, 0xAA)
 	})
@@ -29,7 +30,7 @@ loop:
 	if fired[0] < 50 || fired[0] > 53 {
 		t.Errorf("injector fired at cycle %d, want first boundary at/after 50", fired[0])
 	}
-	if m.injectFn != nil {
+	if m.injects != 0 || len(m.hooks) != 0 {
 		t.Error("injector still armed after firing")
 	}
 	// The injected register write took effect on live state: r20 kept
@@ -40,34 +41,53 @@ loop:
 	}
 }
 
-// TestInjectorChaining checks a hook can re-arm from inside the callback.
+// TestInjectorChaining pins the inject queue's ordering: entries due at one
+// Step fire together in (at, arm order), an entry armed from inside a
+// callback waits for the next Step even when it is already due, and a
+// callback can chain a later entry.
 func TestInjectorChaining(t *testing.T) {
 	m := load(t, `
 loop:
     nop
     rjmp loop
 `)
-	var fired []uint64
-	var arm func(at uint64)
-	arm = func(at uint64) {
-		m.SetInjector(at, func(m *Machine) {
-			fired = append(fired, m.Cycles())
-			if len(fired) < 3 {
-				arm(at + 40)
-			}
-		})
+	type firing struct {
+		name         string
+		cycle, insts uint64
 	}
-	arm(10)
+	var fired []firing
+	note := func(name string) func(uint64) {
+		return func(uint64) { fired = append(fired, firing{name, m.Cycles(), m.Instructions()}) }
+	}
+	m.Arm(HookInject, 20, 0, note("b"))
+	m.Arm(HookInject, 20, 0, note("c"))
+	m.Arm(HookInject, 10, 0, func(at uint64) {
+		note("a")(at)
+		m.Arm(HookInject, at, 0, note("rearmed"))
+		m.Arm(HookInject, at+40, 0, note("chained"))
+	})
 	if err := m.Run(300); err != nil {
 		t.Fatal(err)
 	}
-	if len(fired) != 3 {
-		t.Fatalf("chained injector fired %d times, want 3", len(fired))
+	var names []string
+	for _, f := range fired {
+		names = append(names, f.name)
 	}
-	for i := 1; i < len(fired); i++ {
-		if fired[i] <= fired[i-1] {
-			t.Errorf("chained firings not strictly ordered: %v", fired)
-		}
+	if got, want := strings.Join(names, ","), "a,rearmed,b,c,chained"; got != want {
+		t.Fatalf("fired %s, want %s", got, want)
+	}
+	a, rearmed, b, c, chained := fired[0], fired[1], fired[2], fired[3], fired[4]
+	if rearmed.insts != a.insts+1 {
+		t.Errorf("entry armed inside a callback fired after %d instructions, want the next Step (%d)", rearmed.insts, a.insts+1)
+	}
+	if b.insts != c.insts || b.cycle < 20 {
+		t.Errorf("entries due at cycle 20 fired at %+v and %+v, want one Step at/after 20", b, c)
+	}
+	if chained.cycle < 50 || chained.insts <= c.insts {
+		t.Errorf("chained entry fired at %+v, want a Step at/after cycle 50", chained)
+	}
+	if m.injects != 0 || len(m.hooks) != 0 {
+		t.Errorf("queue not drained: %d injects, %d entries", m.injects, len(m.hooks))
 	}
 }
 
@@ -90,7 +110,7 @@ loop:
 	errPlain := plain.Run(0)
 
 	hooked := load(t, src)
-	hooked.SetInjector(30, func(m *Machine) {}) // no-op injection
+	hooked.Arm(HookInject, 30, 0, func(uint64) {}) // no-op injection
 	errHooked := hooked.Run(0)
 
 	var f1, f2 *Fault
@@ -231,7 +251,7 @@ sub:
 	// Corrupt the return address pushed by CALL while inside sub (the CALL
 	// completes around cycle 8; the NOPs run 9..12): point it at flash word
 	// 0x3F00 (empty flash decodes as a NOP sled from there on).
-	m.SetInjector(10, func(m *Machine) {
+	m.Arm(HookInject, 10, 0, func(uint64) {
 		sp := m.SP()
 		m.Poke(sp+1, 0x3F) // hi byte (pushWord order: lo first, hi on top)
 		m.Poke(sp+2, 0x00) // lo byte

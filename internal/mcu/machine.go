@@ -93,40 +93,18 @@ type Machine struct {
 	// disabled state: every emission site is a single pointer comparison.
 	rec *trace.Recorder
 
-	// Profiler hooks (internal/profile), nil-disabled like rec: with no
-	// profiler attached every site is one pointer comparison. profInstr
-	// receives each executed instruction's fetch PC, the post-execution SP,
-	// and the cycle delta; profIdle and profIntr receive idle advances and
-	// interrupt-delivery charges.
-	profInstr func(pc uint32, sp uint16, cycles uint64)
-	profIdle  func(n uint64)
-	profIntr  func(n uint64)
+	// prof holds the per-instruction observers (internal/profile), each
+	// nil-disabled like rec: with no profiler attached every site is one
+	// pointer comparison.
+	prof ProfileHooks
 
-	// sampleFn, when non-nil, fires at sampling boundaries of the telemetry
-	// layer: the first execution point at or after each multiple of
-	// sampleEvery. Nil-disabled like rec and the profiler hooks, and checked
-	// only in RunUntil's outer loop — never inside the fast loop — so an
-	// attached sampler still quantizes to trap/horizon granularity and a
-	// detached one costs one pointer comparison per horizon.
-	sampleFn    func(at uint64)
-	sampleEvery uint64
-	sampleNext  uint64
-
-	// injectFn, when non-nil, is an armed fault-injection hook: it fires at
-	// the first checked Step whose clock has reached injectAt, then disarms
-	// itself (the hook may re-arm from inside the callback to chain
-	// injections). Nil-disabled like rec and the profiler hooks, and checked
-	// only on the Step path — an armed injector forces Run/RunUntil off the
-	// event-horizon fast loop until it fires, and a disarmed one costs one
-	// pointer comparison per horizon.
-	injectFn func(*Machine)
-	injectAt uint64
-
-	// memWatch, when non-nil, observes successful native SRAM accesses
-	// (loads, stores, pushes, pops) with the physical address; the kernel's
-	// watchpoint adapter translates to logical addresses. Kernel-mediated
-	// accesses (ReadBus/WriteBus) are reported by the kernel itself.
-	memWatch func(pc uint32, addr uint16, write bool)
+	// hooks is the deadline queue (hooks.go), in arm order. hookAt caches
+	// the earliest at (noEvent when empty), so a run-loop iteration with
+	// nothing due costs one comparison; injects counts the pending inject
+	// entries, which keep the run loop on the checked Step path.
+	hooks   []hook
+	hookAt  uint64
+	injects int
 
 	// Native-access memory guard (the kernel's isolation backstop for
 	// unpatched SP-relative accesses). Zero values disable it.
@@ -167,15 +145,9 @@ type Machine struct {
 	// pointer comparison per transition.
 	meter *energy.Meter
 
-	// ckptFn, when non-nil, is an armed checkpoint hook: it fires at the
-	// first RunUntil outer-loop boundary whose clock has reached ckptAt,
-	// then disarms itself (the hook may re-arm from inside the callback to
-	// chain checkpoints). Unlike the injector it is never checked on the
-	// Step path and never forces execution off the event-horizon fast loop,
-	// so arming it cannot perturb the run's trajectory — the firing point
-	// quantizes to the same loop boundaries an attached sampler sees.
-	ckptFn func(at uint64)
-	ckptAt uint64
+	// hookSeq counts Arm calls, the next hook.seq. Only arming and firing
+	// read it, so it sits apart from the fields the run loop tests.
+	hookSeq uint64
 }
 
 // New returns a reset machine with empty flash.
@@ -234,21 +206,6 @@ func (m *Machine) AdoptImage(parent *Machine) {
 	}
 }
 
-// SetCheckpoint arms (or, with nil fn, disarms) the checkpoint hook: fn runs
-// once, with the nominal arming cycle, at the first RunUntil outer-loop
-// iteration whose clock has reached at. The hook disarms itself before
-// firing, so fn may call SetCheckpoint again to chain a later checkpoint.
-// The hook is deliberately not a per-Step check: it fires only at run-loop
-// boundaries (after device horizons, traps, or checked ops), so arming it
-// never changes which execution path the machine takes.
-func (m *Machine) SetCheckpoint(at uint64, fn func(at uint64)) {
-	m.ckptFn = fn
-	m.ckptAt = at
-	if fn == nil {
-		m.ckptAt = 0
-	}
-}
-
 // Reset clears CPU and device state but leaves flash contents alone.
 func (m *Machine) Reset() {
 	m.data = [DataSize]byte{}
@@ -260,8 +217,7 @@ func (m *Machine) Reset() {
 	m.fault = nil
 	m.pending = 0
 	m.guardOn = false
-	m.injectFn = nil
-	m.injectAt = 0
+	m.Cancel(HookInject)
 	m.dev.reset()
 	m.SetSP(DataSize - 1)
 }
@@ -357,60 +313,15 @@ type ProfileHooks struct {
 	Idle func(n uint64)
 	// Interrupt is called for each interrupt delivery's cycle charge.
 	Interrupt func(n uint64)
+	// Mem is called after each successful native SRAM load, store, push or
+	// pop with the fetch PC and the physical address. Kernel-mediated
+	// accesses (ReadBus/WriteBus) are reported by the kernel itself.
+	Mem func(pc uint32, addr uint16, write bool)
 }
 
 // SetProfileHooks installs (or, with zero-value hooks, removes) the profiler
 // callbacks.
-func (m *Machine) SetProfileHooks(h ProfileHooks) {
-	m.profInstr = h.Instr
-	m.profIdle = h.Idle
-	m.profIntr = h.Interrupt
-}
-
-// SetSampler installs (or, with nil fn or zero interval, removes) the
-// telemetry sampling hook. fn fires with the nominal boundary cycle `at`
-// (a multiple of every) at the first RunUntil outer-loop iteration whose
-// clock has reached it; after a long uninterrupted stretch (sleep, a wide
-// device horizon) only the latest crossed boundary fires, so samplers see
-// at most one sample per interval and never a catch-up flood. The clock is
-// simulated, so firing points are deterministic across runs and hosts.
-func (m *Machine) SetSampler(every uint64, fn func(at uint64)) {
-	if fn == nil || every == 0 {
-		m.sampleFn, m.sampleEvery, m.sampleNext = nil, 0, 0
-		return
-	}
-	m.sampleFn = fn
-	m.sampleEvery = every
-	m.sampleNext = (m.cycle/every + 1) * every
-}
-
-// fireSample invokes the sampling hook for the latest boundary the clock has
-// crossed and schedules the next one.
-func (m *Machine) fireSample() {
-	next := (m.cycle/m.sampleEvery + 1) * m.sampleEvery
-	m.sampleNext = next
-	m.sampleFn(next - m.sampleEvery)
-}
-
-// SetInjector arms (or, with nil fn, disarms) the fault-injection hook: fn
-// runs once, at the first checked Step whose cycle clock has reached at,
-// with the machine stopped on an instruction boundary (after device sync,
-// before interrupt delivery and dispatch). The hook disarms itself before
-// firing, so fn may call SetInjector again to chain a later injection.
-// While armed, Run/RunUntil take the fully-checked Step path; disarmed, the
-// hook costs one pointer comparison per run-loop horizon.
-func (m *Machine) SetInjector(at uint64, fn func(*Machine)) {
-	m.injectFn = fn
-	m.injectAt = at
-	if fn == nil {
-		m.injectAt = 0
-	}
-}
-
-// SetMemWatch installs (or, with nil, removes) the native-access watchpoint
-// observer. It fires after a successful SRAM load/store/push/pop with the
-// physical address and the instruction's fetch PC.
-func (m *Machine) SetMemWatch(f func(pc uint32, addr uint16, write bool)) { m.memWatch = f }
+func (m *Machine) SetProfileHooks(h ProfileHooks) { m.prof = h }
 
 // SetGuard arms the native-store guard: SP-relative and other unpatched SRAM
 // accesses outside [lo, hi) fault. The kernel re-arms this per context
@@ -442,8 +353,8 @@ func (m *Machine) AddIdleCycles(n uint64) {
 	if m.rec != nil && n > 0 {
 		m.rec.Emit(trace.Event{Cycle: m.cycle, Kind: trace.KindIdle, Task: -1, Arg: n})
 	}
-	if m.profIdle != nil && n > 0 {
-		m.profIdle(n)
+	if m.prof.Idle != nil && n > 0 {
+		m.prof.Idle(n)
 	}
 	if m.meter != nil {
 		m.meter.SleepCycles(n)
@@ -556,29 +467,23 @@ func (m *Machine) Run(limit uint64) error {
 }
 
 // RunUntil is Run without the budget-expiry trace event (the kernel's run
-// loop emits its own). It executes the event-horizon fast loop whenever no
-// per-step check could fire: no fault, not sleeping, no pending interrupt,
-// and no profiler or recorder hook attached. Inside a horizon — up to the
-// next device event or the cycle limit — instructions dispatch straight
-// through the micro-op cache with no per-step checks at all; KTRAP and SLEEP
-// entries are marked checked and run through one Step so trap handlers and
-// the sleep path see exactly the per-Step machine state they always did.
-// Everything else (traced, profiled, stepwise, or interrupt-laden execution)
-// falls back to the fully-checked Step, whose semantics are untouched.
+// loop emits its own). Each outer-loop iteration first fires the sample and
+// checkpoint deadlines due, then executes the event-horizon fast loop unless
+// mustStep sends it to Step: no fault, not sleeping, no pending interrupt,
+// no profiler, no pending inject entry. Inside a horizon — up to the next
+// device event or the cycle limit — instructions dispatch straight through
+// the micro-op cache with no per-step checks at all; KTRAP and SLEEP entries
+// are marked checked and run through one Step so trap handlers and the
+// sleep path see exactly the per-Step machine state they always did. A
+// trace recorder does not force Step: every machine event it records is
+// emitted off the per-instruction path, and interrupts are only ever
+// delivered by Step.
 func (m *Machine) RunUntil(limit uint64) error {
 	for limit == 0 || m.cycle < limit {
-		if m.sampleFn != nil && m.cycle >= m.sampleNext {
-			m.fireSample()
+		if m.cycle >= m.hookAt {
+			m.fireDue(false)
 		}
-		if m.ckptFn != nil && m.cycle >= m.ckptAt {
-			// Disarm before firing so the hook can chain checkpoints by
-			// re-arming from inside the callback.
-			fn, at := m.ckptFn, m.ckptAt
-			m.ckptFn = nil
-			fn(at)
-		}
-		if m.fault != nil || m.sleeping || m.pending != 0 ||
-			m.stepwise || m.profInstr != nil || m.rec != nil || m.injectFn != nil {
+		if m.mustStep() {
 			if err := m.Step(); err != nil {
 				return err
 			}
@@ -688,12 +593,8 @@ func (m *Machine) Step() error {
 	if m.cycle >= m.dev.nextEvent {
 		m.syncDevices()
 	}
-	if m.injectFn != nil && m.cycle >= m.injectAt {
-		// Disarm before firing so the hook can chain a later injection by
-		// re-arming from inside the callback.
-		fn := m.injectFn
-		m.injectFn = nil
-		fn(m)
+	if m.injects != 0 && m.cycle >= m.hookAt {
+		m.fireDue(true)
 	}
 	if m.pending != 0 && m.data[addrSREG]&flagI != 0 {
 		m.deliverInterrupt()
@@ -708,19 +609,19 @@ func (m *Machine) Step() error {
 	}
 	m.insts++
 	fn := dispatch[byte(u.in.Op)]
-	if m.profInstr == nil {
+	if m.prof.Instr == nil {
 		return fn(m, u)
 	}
 	if u.in.Op == avr.OpKtrap {
 		// The trap handler may switch tasks mid-exec; attribute the 1-cycle
 		// KTRAP fetch to the task that reached the trap, before dispatch.
 		// The kernel attributes the service's own charges itself.
-		m.profInstr(m.pc, m.SP(), 1)
+		m.prof.Instr(m.pc, m.SP(), 1)
 		return fn(m, u)
 	}
 	pc, before := m.pc, m.cycle
 	err = fn(m, u)
-	m.profInstr(pc, m.SP(), m.cycle-before)
+	m.prof.Instr(pc, m.SP(), m.cycle-before)
 	return err
 }
 
@@ -746,8 +647,8 @@ func (m *Machine) deliverInterrupt() {
 	m.data[addrSREG] &^= flagI
 	m.pc = vec
 	m.cycle += 4
-	if m.profIntr != nil {
-		m.profIntr(4)
+	if m.prof.Interrupt != nil {
+		m.prof.Interrupt(4)
 	}
 	if m.rec != nil {
 		m.rec.Emit(trace.Event{Cycle: m.cycle, Kind: trace.KindInterrupt, Task: -1, Arg: uint64(vec)})

@@ -50,7 +50,7 @@ func TestSamplerCadence(t *testing.T) {
 		m.SetStepwise(stepwise)
 		var got []uint64
 		var fired []uint64
-		m.SetSampler(1000, func(at uint64) {
+		m.Arm(HookSample, 1000, 1000, func(at uint64) {
 			got = append(got, at)
 			fired = append(fired, m.Cycles())
 		})
@@ -80,7 +80,7 @@ func TestSamplerStepwiseHitsEveryBoundary(t *testing.T) {
 	m := samplerMachine(t, hotLoopSrc)
 	m.SetStepwise(true)
 	var got []uint64
-	m.SetSampler(1000, func(at uint64) { got = append(got, at) })
+	m.Arm(HookSample, 1000, 1000, func(at uint64) { got = append(got, at) })
 	if err := m.RunUntil(5_100); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestSamplerStepwiseHitsEveryBoundary(t *testing.T) {
 func TestSamplerCollapsesAfterSleep(t *testing.T) {
 	m := samplerMachine(t, hotLoopSrc)
 	var got []uint64
-	m.SetSampler(1000, func(at uint64) { got = append(got, at) })
+	m.Arm(HookSample, 1000, 1000, func(at uint64) { got = append(got, at) })
 	m.AddIdleCycles(10_400) // clock jumps over ten boundaries at once
 	if err := m.RunUntil(10_500); err != nil {
 		t.Fatal(err)
@@ -116,19 +116,23 @@ func TestSamplerCollapsesAfterSleep(t *testing.T) {
 	}
 }
 
+// Cancel drops only the entries of the kind it names.
 func TestSamplerDetach(t *testing.T) {
 	m := samplerMachine(t, hotLoopSrc)
-	fired := 0
-	m.SetSampler(1000, func(uint64) { fired++ })
-	m.SetSampler(0, nil)
+	fired := map[HookKind]int{}
+	count := func(k HookKind) func(uint64) { return func(uint64) { fired[k]++ } }
+	m.Arm(HookSample, 1000, 1000, count(HookSample))
+	m.Arm(HookCheckpoint, 2000, 0, count(HookCheckpoint))
+	m.Arm(HookInject, 3000, 0, count(HookInject))
+	m.Cancel(HookSample)
 	if err := m.RunUntil(5_000); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 0 {
-		t.Fatalf("detached sampler fired %d times", fired)
+	if fired[HookSample] != 0 || fired[HookCheckpoint] != 1 || fired[HookInject] != 1 {
+		t.Fatalf("after cancelling the sampler: fired %v, want only the checkpoint and the injection", fired)
 	}
-	if m.sampleFn != nil || m.sampleEvery != 0 || m.sampleNext != 0 {
-		t.Fatal("detach left sampler state armed")
+	if len(m.hooks) != 0 || m.hookAt != noEvent {
+		t.Fatal("cancel left sampler state armed")
 	}
 }
 
@@ -137,7 +141,7 @@ func TestSamplerDetach(t *testing.T) {
 func TestSamplerDoesNotPerturbExecution(t *testing.T) {
 	plain := samplerMachine(t, dispatchSrc)
 	sampled := samplerMachine(t, dispatchSrc)
-	sampled.SetSampler(512, func(uint64) {})
+	sampled.Arm(HookSample, 512, 512, func(uint64) {})
 	const limit = 200_000
 	if err := plain.RunUntil(limit); err != nil {
 		t.Fatal(err)

@@ -108,25 +108,23 @@ func (m *Machine) CaptureState() (*MachineState, error) {
 	if m.dev.adcSource != nil {
 		return nil, ErrCustomADCSource
 	}
-	if m.injectFn != nil {
+	if m.injects != 0 {
 		return nil, ErrArmedInjector
 	}
 	st := &MachineState{
-		Data:        append([]byte(nil), m.data[:]...),
-		PC:          m.pc,
-		Cycle:       m.cycle,
-		Idle:        m.idle,
-		Insts:       m.insts,
-		Sleeping:    m.sleeping,
-		Pending:     m.pending,
-		Stepwise:    m.stepwise,
-		GuardLo:     m.guardLo,
-		GuardHi:     m.guardHi,
-		GuardOn:     m.guardOn,
-		SampleEvery: m.sampleEvery,
-		SampleNext:  m.sampleNext,
-		CodeEnd:     m.codeEnd,
-		FlashHash:   m.flashHash(),
+		Data:      append([]byte(nil), m.data[:]...),
+		PC:        m.pc,
+		Cycle:     m.cycle,
+		Idle:      m.idle,
+		Insts:     m.insts,
+		Sleeping:  m.sleeping,
+		Pending:   m.pending,
+		Stepwise:  m.stepwise,
+		GuardLo:   m.guardLo,
+		GuardHi:   m.guardHi,
+		GuardOn:   m.guardOn,
+		CodeEnd:   m.codeEnd,
+		FlashHash: m.flashHash(),
 		Dev: DeviceState{
 			NextEvent:      m.dev.nextEvent,
 			T0BaseCycle:    m.dev.t0BaseCycle,
@@ -146,6 +144,9 @@ func (m *Machine) CaptureState() (*MachineState, error) {
 			RadioIn:        append([]byte(nil), m.dev.radioIn...),
 		},
 	}
+	if i := m.sampler(); i >= 0 {
+		st.SampleEvery, st.SampleNext = m.hooks[i].every, m.hooks[i].at
+	}
 	if m.fault != nil {
 		st.FaultKind = uint8(m.fault.Kind)
 		st.FaultPC = m.fault.PC
@@ -160,8 +161,8 @@ func (m *Machine) CaptureState() (*MachineState, error) {
 // hash — flash itself is not part of the state). Every buffer is deep-copied
 // out of st, so neither the machine nor a caller-held snapshot aliases the
 // other afterward. Attached hooks (trap handler, recorder, profiler,
-// sampler) are left as wired by the machine's constructor; only the
-// sampler's schedule is restored, and its interval must match the
+// deadline queue) are left as wired by the machine's constructor; only the
+// sample entry's schedule is restored, and its period must match the
 // snapshot's.
 func (m *Machine) RestoreState(st *MachineState) error {
 	if len(st.Data) != DataSize {
@@ -170,9 +171,10 @@ func (m *Machine) RestoreState(st *MachineState) error {
 	if st.FlashHash != m.flashHash() {
 		return ErrImageMismatch
 	}
-	if m.sampleFn != nil && m.sampleEvery != st.SampleEvery {
+	smp := m.sampler()
+	if smp >= 0 && m.hooks[smp].every != st.SampleEvery {
 		return fmt.Errorf("%w: target %d, snapshot %d",
-			ErrSamplerMismatch, m.sampleEvery, st.SampleEvery)
+			ErrSamplerMismatch, m.hooks[smp].every, st.SampleEvery)
 	}
 	copy(m.data[:], st.Data)
 	m.pc = st.PC & (FlashWords - 1)
@@ -189,8 +191,9 @@ func (m *Machine) RestoreState(st *MachineState) error {
 	m.pending = st.Pending
 	m.stepwise = st.Stepwise
 	m.guardLo, m.guardHi, m.guardOn = st.GuardLo, st.GuardHi, st.GuardOn
-	if m.sampleFn != nil {
-		m.sampleNext = st.SampleNext
+	if smp >= 0 {
+		m.hooks[smp].at = st.SampleNext
+		m.syncHookAt()
 	}
 	m.codeEnd = st.CodeEnd
 	// The block cache is derived state, like the micro-op cache: the restore

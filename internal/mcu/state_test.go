@@ -3,6 +3,8 @@ package mcu
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -168,9 +170,55 @@ func TestCaptureRefusesOpaqueHooks(t *testing.T) {
 		t.Fatalf("capture after clearing source: %v", err)
 	}
 
-	m.SetInjector(1_000, func(*Machine) {})
+	m.Arm(HookInject, 1_000, 0, func(uint64) {})
+	m.Arm(HookInject, 2_000, 0, func(uint64) {})
 	if _, err := m.CaptureState(); !errors.Is(err, ErrArmedInjector) {
 		t.Errorf("capture with armed injector: %v, want ErrArmedInjector", err)
+	}
+	if err := m.Run(1_500); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CaptureState(); !errors.Is(err, ErrArmedInjector) {
+		t.Errorf("capture with one of two injections fired: %v, want ErrArmedInjector", err)
+	}
+	if err := m.Run(2_500); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CaptureState(); err != nil {
+		t.Errorf("capture after every injection fired: %v", err)
+	}
+}
+
+// TestRestoreKeepsSampleSchedule: RestoreState moves the target's sample
+// entry to the snapshot's next mark, so the restored run samples exactly the
+// boundaries the source run had left.
+func TestRestoreKeepsSampleSchedule(t *testing.T) {
+	var srcAt, dstAt []uint64
+	src := load(t, stateWorkSrc)
+	src.Arm(HookSample, 1000, 1000, func(at uint64) { srcAt = append(srcAt, at) })
+	if err := src.Run(3_500); err != nil {
+		t.Fatal(err)
+	}
+	st, err := src.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SampleEvery != 1000 || st.SampleNext != 4000 {
+		t.Fatalf("captured sample schedule %d/%d, want 1000/4000", st.SampleEvery, st.SampleNext)
+	}
+	dst := load(t, stateWorkSrc)
+	dst.Arm(HookSample, 1000, 1000, func(at uint64) { dstAt = append(dstAt, at) })
+	if err := dst.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	srcAt = nil
+	for _, m := range []*Machine{src, dst} {
+		if err := m.Run(7_500); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fmt.Sprint(dstAt) != fmt.Sprint(srcAt) || len(dstAt) == 0 || dstAt[0] != 4000 {
+		t.Errorf("restored run sampled %v, source run %v; want both from 4000", dstAt, srcAt)
 	}
 }
 
@@ -208,7 +256,7 @@ func TestRestoreRejectsBadGeometry(t *testing.T) {
 	}
 
 	sampled := load(t, stateWorkSrc)
-	sampled.SetSampler(4096, func(uint64) {})
+	sampled.Arm(HookSample, 4096, 4096, func(uint64) {})
 	if err := sampled.RestoreState(st); !errors.Is(err, ErrSamplerMismatch) {
 		t.Errorf("restore with different sampler interval: %v, want ErrSamplerMismatch", err)
 	}
@@ -248,28 +296,44 @@ func TestAdoptImageCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestCheckpointHookFiresOnceAtBoundary: the checkpoint hook fires exactly
-// once, at a run-loop boundary at or after the armed cycle, and arming it
-// does not change the machine's trajectory.
+// TestCheckpointHookFiresOnceAtBoundary: each checkpoint entry fires exactly
+// once, at a run-loop boundary at or after its cycle. Independently armed
+// entries all fire; a sample due at the same boundary fires first even when
+// armed last; an entry armed from a callback waits for a later pass; and
+// none of it changes the machine's trajectory.
 func TestCheckpointHookFiresOnceAtBoundary(t *testing.T) {
 	ref := load(t, stateWorkSrc)
 	wantUART, _, wantCycles, wantInsts := finishWork(t, ref)
 
 	m := load(t, stateWorkSrc)
-	var fired []uint64
-	var atCycle uint64
-	m.SetCheckpoint(wantCycles/2, func(at uint64) {
-		fired = append(fired, at)
-		atCycle = m.cycle
-	})
-	gotUART, _, gotCycles, gotInsts := finishWork(t, m)
-	if len(fired) != 1 || fired[0] != wantCycles/2 {
-		t.Fatalf("hook fired %v, want exactly once with the nominal cycle %d", fired, wantCycles/2)
+	half := wantCycles / 2
+	var fired []string
+	var cycles []uint64
+	note := func(name string) func(uint64) {
+		return func(at uint64) {
+			fired = append(fired, fmt.Sprintf("%s@%d", name, at))
+			cycles = append(cycles, m.cycle)
+		}
 	}
-	if atCycle < wantCycles/2 || atCycle >= wantCycles {
-		t.Errorf("hook fired at cycle %d, want within [%d, %d)", atCycle, wantCycles/2, wantCycles)
+	m.Arm(HookCheckpoint, half, 0, func(at uint64) {
+		note("first")(at)
+		m.Arm(HookCheckpoint, at, 0, note("rearmed"))
+	})
+	m.Arm(HookCheckpoint, half, 0, note("second"))
+	m.Arm(HookSample, half, wantCycles, note("sample"))
+	gotUART, _, gotCycles, gotInsts := finishWork(t, m)
+
+	want := fmt.Sprintf("sample@%[1]d first@%[1]d second@%[1]d rearmed@%[1]d", half)
+	if got := strings.Join(fired, " "); got != want {
+		t.Fatalf("fired %s, want %s", got, want)
+	}
+	if cycles[0] < half || cycles[0] >= wantCycles || cycles[1] != cycles[0] || cycles[2] != cycles[0] {
+		t.Errorf("first boundary entries fired at cycles %v, want one boundary within [%d, %d)", cycles[:3], half, wantCycles)
+	}
+	if cycles[3] < cycles[0] {
+		t.Errorf("rearmed entry fired at cycle %d, before its arming boundary %d", cycles[3], cycles[0])
 	}
 	if !bytes.Equal(gotUART, wantUART) || gotCycles != wantCycles || gotInsts != wantInsts {
-		t.Error("arming a checkpoint perturbed the run")
+		t.Error("arming checkpoints perturbed the run")
 	}
 }

@@ -728,16 +728,10 @@ func (m *Machine) translateBlock(leader uint32) *block {
 }
 
 // ladderDue reports whether the outer run loop has per-iteration work to do
-// right now — a fault, sleep, or pending interrupt to examine, a sampler or
-// checkpoint hook due, or an observer mode the fast path must not run under.
-// Block chaining across kernel traps re-checks exactly this set, because a
-// trap service can leave any of it behind.
-func (m *Machine) ladderDue() bool {
-	return m.fault != nil || m.sleeping || m.pending != 0 ||
-		m.stepwise || m.profInstr != nil || m.rec != nil || m.injectFn != nil ||
-		(m.sampleFn != nil && m.cycle >= m.sampleNext) ||
-		(m.ckptFn != nil && m.cycle >= m.ckptAt)
-}
+// right now: a hook deadline due, or anything that sends it to Step. Block
+// chaining across kernel traps re-checks exactly this set, because a trap
+// service can leave any of it behind.
+func (m *Machine) ladderDue() bool { return m.cycle >= m.hookAt || m.mustStep() }
 
 // nextPC is the architectural PC after the op at index i — where the per-op
 // path would resume if the block stopped right after it.

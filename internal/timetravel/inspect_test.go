@@ -225,9 +225,8 @@ func TestFirstDivergenceRegisterFlip(t *testing.T) {
 		}
 		sys.Machine().SetStepwise(true)
 	}
-	trial.Machine().SetInjector(fireAt, func(m *mcu.Machine) {
-		m.SetReg(24, m.Reg(24)^0x40)
-	})
+	m := trial.Machine()
+	m.Arm(mcu.HookInject, fireAt, 0, func(uint64) { m.SetReg(24, m.Reg(24)^0x40) })
 	div, err := FirstDivergence(clean.Kernel(), trial.Kernel(), 20_000, 60_000)
 	if err != nil {
 		t.Fatal(err)
@@ -263,9 +262,8 @@ func TestFirstDivergenceSilentCorruption(t *testing.T) {
 	// corruption the CPU never observes.
 	tb := taskByName(trial, "b")
 	pl, _, _ := tb.Region()
-	trial.Machine().SetInjector(fireAt, func(m *mcu.Machine) {
-		m.Poke(pl+1, m.Peek(pl+1)^0xFF)
-	})
+	m := trial.Machine()
+	m.Arm(mcu.HookInject, fireAt, 0, func(uint64) { m.Poke(pl+1, m.Peek(pl+1)^0xFF) })
 	div, err := FirstDivergence(clean.Kernel(), trial.Kernel(), 20_000, 50_000)
 	if err != nil {
 		t.Fatal(err)

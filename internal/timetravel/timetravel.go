@@ -1,6 +1,6 @@
 // Package timetravel is a deterministic time-travel debug layer over the
 // simulator: it records one run while arming a ring of periodic checkpoints
-// (riding the machine's outer-loop checkpoint hook and the snapshot v2 wire
+// (checkpoint entries on the machine's deadline queue and the snapshot v2 wire
 // format), then serves Seek(cycle) by restoring the nearest prior checkpoint
 // into a fresh system and re-executing in checked mode to the exact cycle.
 // The landed state is byte-identical to a straight checked run to that cycle
@@ -113,7 +113,7 @@ func (d *Debugger) Record(limit uint64) error {
 	}
 	d.armNext(sys.Machine().Cycles() + d.cfg.Every)
 	runErr := sys.Run(limit)
-	sys.Machine().SetCheckpoint(0, nil) // drop a not-yet-fired hook
+	sys.Machine().Cancel(mcu.HookCheckpoint) // drop a not-yet-fired slot
 	d.end = sys.Machine().Cycles()
 	d.recorded = true
 	if runErr != nil {
@@ -122,7 +122,8 @@ func (d *Debugger) Record(limit uint64) error {
 	return d.fail
 }
 
-// armNext chains the ring's one-shot checkpoint hook at nominal cycle at.
+// armNext arms the ring's next checkpoint at nominal cycle at; each capture
+// arms the one after it.
 func (d *Debugger) armNext(at uint64) {
 	d.sys.ArmCheckpoint(at, func(st *snapshot.State, err error) {
 		next := at + d.cfg.Every

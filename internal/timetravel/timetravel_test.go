@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -143,6 +144,14 @@ func TestRingCapture(t *testing.T) {
 	if cks[0] < ttLimit-4*3*16_384 {
 		t.Errorf("oldest retained checkpoint %d is too old for a 4-slot ring", cks[0])
 	}
+	// Record drops the ring's not-yet-fired slot: running the recorded
+	// system on past the recording captures nothing more.
+	if err := d.Recorded().Run(ttLimit + 4*16_384); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Checkpoints(); !slices.Equal(got, cks) {
+		t.Errorf("ring moved from %v to %v after the recording ended", cks, got)
+	}
 }
 
 func TestSeekIdentity(t *testing.T) {
@@ -233,9 +242,8 @@ func TestRingSkipsArmedInjector(t *testing.T) {
 	// past it. Replays from boot re-arm the same injection via Rearm.
 	const fireAt = 60_000
 	rearm := func(sys *core.System) {
-		sys.Machine().SetInjector(fireAt, func(m *mcu.Machine) {
-			m.SetReg(13, m.Reg(13)^0x80)
-		})
+		m := sys.Machine()
+		m.Arm(mcu.HookInject, fireAt, 0, func(uint64) { m.SetReg(13, m.Reg(13)^0x80) })
 	}
 	d, err := New(ttFactory, Config{Checkpoints: 4, Every: 16_384, Rearm: rearm})
 	if err != nil {
@@ -292,7 +300,7 @@ func TestRecordSurfacesCaptureFailure(t *testing.T) {
 	// fires, so every capture slot is refused. That exercises the skip path
 	// to exhaustion without ever filling the ring.
 	rearm := func(sys *core.System) {
-		sys.Machine().SetInjector(ttLimit*2, func(*mcu.Machine) {})
+		sys.Machine().Arm(mcu.HookInject, ttLimit*2, 0, func(uint64) {})
 	}
 	d, err := New(ttFactory, Config{Checkpoints: 4, Every: 65_536, Rearm: rearm})
 	if err != nil {
