@@ -138,3 +138,15 @@ park:
 		t.Errorf("byte read of the final heap cell should work: %v", err)
 	}
 }
+
+var systemSink *System
+
+// BenchmarkNewSystem measures constructing an empty system: the machine, its
+// micro-op cache and translator, and the kernel that installs its trap
+// handler. Every seek, campaign trial and sweep point pays this once.
+func BenchmarkNewSystem(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		systemSink = NewSystem()
+	}
+}

@@ -36,11 +36,17 @@ const ckptLimit = 4_000_000_000
 // deployed. Every call uses identical observer options, so snapshots
 // transfer between instances.
 func ckptSystem(name string) (*core.System, error) {
-	sys := core.NewSystem(
+	return benchSystem(name,
 		core.WithTrace(trace.New()),
 		core.WithTelemetry(telemetry.New(telemetry.Options{Ring: 1 << 14})),
 		core.WithProfile(profile.New(profile.Options{StackInterval: 8192})),
 		core.WithEnergy(new(energy.Meter)))
+}
+
+// benchSystem builds a system with opts and the named kernel benchmark
+// deployed.
+func benchSystem(name string, opts ...core.Option) (*core.System, error) {
+	sys := core.NewSystem(opts...)
 	for _, kb := range progs.KernelBenchmarks() {
 		if kb.Name == name {
 			_, err := sys.Deploy(kb.Program)
@@ -59,6 +65,7 @@ type ckptArtifacts struct {
 	energy  []byte
 }
 
+// artifactsOf collects sys's streams; pprof stays empty without a profiler.
 func artifactsOf(sys *core.System) (ckptArtifacts, error) {
 	var a ckptArtifacts
 	a.metrics = []byte(sys.Metrics().Render())
@@ -68,10 +75,12 @@ func artifactsOf(sys *core.System) (ckptArtifacts, error) {
 		return a, err
 	}
 	a.ndjson = nb.Bytes()
-	if err := sys.Profile().WritePprof(&pb); err != nil {
-		return a, err
+	if p := sys.Profile(); p != nil {
+		if err := p.WritePprof(&pb); err != nil {
+			return a, err
+		}
+		a.pprof = pb.Bytes()
 	}
-	a.pprof = pb.Bytes()
 	// The energy ledger both raw (every device counter and open-span cursor)
 	// and reduced to joules at the final cycle.
 	eb, err := json.Marshal(struct {
@@ -306,8 +315,8 @@ var (
 	// seekPaths land the recording on the point's cycle, from the in-memory
 	// ring and from the snapshot wire bytes.
 	seekPaths = []identityPath{
-		{"seek-ring", func(f *ckptFixture, p *ckptPoint) (string, error) { return seekCheck(f, p.at, f.dbg.Seek) }},
-		{"seek-bytes", func(f *ckptFixture, p *ckptPoint) (string, error) { return seekCheck(f, p.at, f.dbg.SeekBytes) }},
+		{"seek-ring", func(f *ckptFixture, p *ckptPoint) (string, error) { return f.seekCheck(p.at, f.dbg.Seek) }},
+		{"seek-bytes", func(f *ckptFixture, p *ckptPoint) (string, error) { return f.seekCheck(p.at, f.dbg.SeekBytes) }},
 	}
 )
 

@@ -6,8 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/energy"
+	"repro/internal/progs"
 	"repro/internal/snapshot"
+	"repro/internal/telemetry"
 	"repro/internal/timetravel"
+	"repro/internal/trace"
 )
 
 func encodeSys(sys *core.System) ([]byte, error) {
@@ -19,15 +23,21 @@ func encodeSys(sys *core.System) ([]byte, error) {
 }
 
 // seekCheck seeks fixture f's recording to cycle and compares the landed
-// system against a straight checked run: snapshot bytes first, then every
-// artifact stream. Returns "" on identity.
-func seekCheck(f *ckptFixture, cycle uint64, seek func(uint64) (*timetravel.Inspector, error)) (string, error) {
+// system against a straight checked run.
+func (f *ckptFixture) seekCheck(cycle uint64, seek func(uint64) (*timetravel.Inspector, error)) (string, error) {
+	return seekCheck(func() (*core.System, error) { return ckptSystem(f.name) }, cycle, seek)
+}
+
+// seekCheck seeks to cycle and compares the landed system against a straight
+// checked run of a build() system: snapshot bytes first, then every artifact
+// stream. Returns "" on identity.
+func seekCheck(build func() (*core.System, error), cycle uint64, seek func(uint64) (*timetravel.Inspector, error)) (string, error) {
 	insp, err := seek(cycle)
 	if err != nil {
 		return "", fmt.Errorf("seek: %w", err)
 	}
 
-	ref, err := ckptSystem(f.name)
+	ref, err := build()
 	if err != nil {
 		return "", err
 	}
@@ -106,5 +116,63 @@ func TestSeekFirstAgainstLinearScan(t *testing.T) {
 	}
 	if insp.Cycle() != rm.Cycles() {
 		t.Errorf("SeekFirst landed on cycle %d, linear scan says first-true is %d", insp.Cycle(), rm.Cycles())
+	}
+}
+
+// TestSeekIdentityUnprofiled seeks recordings of systems observed by a trace
+// recorder, a dense telemetry sampler and an energy meter but no profiler,
+// so the recording, its checkpoint ring and every replay run on the fused
+// engine. Each of five probes per benchmark must land on a state — snapshot
+// bytes and every stream, the telemetry NDJSON included — identical to a
+// straight checked run's. The profiled identity matrix cannot catch an
+// engine-dependent hook: its profiler keeps every run on the checked path.
+func TestSeekIdentityUnprofiled(t *testing.T) {
+	for _, kb := range progs.KernelBenchmarks() {
+		t.Run(kb.Name, func(t *testing.T) {
+			build := func() (*core.System, error) {
+				return benchSystem(kb.Name,
+					core.WithTrace(trace.New()),
+					core.WithTelemetry(telemetry.New(telemetry.Options{Every: 777})),
+					core.WithEnergy(new(energy.Meter)))
+			}
+			// Space the ring so every probe replays from a checkpoint: an
+			// unobserved run gives the length, which observers do not move.
+			plain, err := benchSystem(kb.Name)
+			if err == nil {
+				err = plain.Boot()
+			}
+			if err == nil {
+				err = plain.Run(ckptLimit)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			dbg, err := timetravel.New(build, timetravel.Config{Checkpoints: 8, Every: plain.Machine().Cycles() / 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dbg.Record(ckptLimit); err != nil {
+				t.Fatal(err)
+			}
+			seekRing := func(cycle uint64) (*timetravel.Inspector, error) {
+				insp, err := dbg.Seek(cycle)
+				if err == nil {
+					if _, fromRing := insp.Base(); !fromRing {
+						return nil, fmt.Errorf("replayed from boot, not the ring %v", dbg.Checkpoints())
+					}
+				}
+				return insp, err
+			}
+			for i := uint64(1); i <= 5; i++ {
+				cycle := dbg.End() * i / 6
+				d, err := seekCheck(build, cycle, seekRing)
+				if err != nil {
+					t.Fatalf("probe at %d: %v", cycle, err)
+				}
+				if d != "" {
+					t.Errorf("probe at %d: %s", cycle, d)
+				}
+			}
+		})
 	}
 }

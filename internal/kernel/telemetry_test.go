@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/profile"
 	"repro/internal/rewriter"
 	"repro/internal/telemetry"
 )
@@ -127,15 +129,31 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 }
 
 // Stack gauges: the recursive benchmark's sampled SP depth must move and
-// its peak must match the task ledger; the running task's live SP comes
-// from the hardware register, not the stale saved context.
+// stay within the task's true stack peak; the running task's live SP comes
+// from the hardware register, not the stale saved context. The true peak
+// comes from an independent observer: a second run of the same system with
+// the profiler's SP recorder reading the stack after every instruction
+// (which puts that run on the checked engine, whose samples must equal the
+// fused run's). The kernel's MaxStackUsed ledger is not that bound: it is
+// updated only at kernel traps, so it misses native pushes after the last
+// trap, which a sample landing between two traps sees.
 func TestTelemetryStackGauges(t *testing.T) {
-	smp := telemetry.New(telemetry.Options{Every: 2_000})
-	cfg := Config{SliceCycles: 10_000, Telemetry: smp}
-	k, tasks := bootKernel(t, cfg, naturalize(t, "recurse", recurseSrc))
-	if err := k.Run(3_000_000); err != nil {
-		t.Fatal(err)
+	run := func(prof *profile.Profiler) (*telemetry.Sampler, *Task) {
+		smp := telemetry.New(telemetry.Options{Every: 2_000})
+		cfg := Config{SliceCycles: 10_000, Telemetry: smp, Profile: prof}
+		k, tasks := bootKernel(t, cfg, naturalize(t, "recurse", recurseSrc))
+		if err := k.Run(3_000_000); err != nil {
+			t.Fatal(err)
+		}
+		return smp, tasks[0]
 	}
+	smp, task := run(nil)
+	prof := profile.New(profile.Options{StackInterval: 1})
+	profiled, _ := run(prof)
+	if !reflect.DeepEqual(smp.Samples(), profiled.Samples()) {
+		t.Fatal("samples of the fused run differ from the checked, profiled run's")
+	}
+	_, _, peak := prof.StackTimeline(int32(task.ID))
 	var maxSeen uint16
 	depths := make(map[uint16]bool)
 	for _, s := range smp.Samples() {
@@ -154,8 +172,11 @@ func TestTelemetryStackGauges(t *testing.T) {
 	if maxSeen == 0 {
 		t.Fatal("no sample caught the stack in use")
 	}
-	if maxSeen > tasks[0].MaxStackUsed {
-		t.Fatalf("sampled depth %d exceeds ledger high-water %d", maxSeen, tasks[0].MaxStackUsed)
+	if uint32(maxSeen) > peak {
+		t.Fatalf("sampled depth %d exceeds the per-instruction peak %d", maxSeen, peak)
+	}
+	if uint32(task.MaxStackUsed) > peak {
+		t.Fatalf("ledger high-water %d exceeds the per-instruction peak %d", task.MaxStackUsed, peak)
 	}
 }
 

@@ -179,6 +179,7 @@ func (m *Machine) recomputeNextEvent() {
 		next = d.radioBusyUntil
 	}
 	d.nextEvent = next
+	m.syncHorizon()
 }
 
 // timer0Count returns the live TCNT0 value.

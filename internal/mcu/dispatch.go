@@ -159,7 +159,7 @@ func (m *Machine) buildUop(pc uint32) error {
 		// Without a kernel, BREAK is BREAK; the next word is unrelated.
 		in = avr.Inst{Op: avr.OpBreak}
 	}
-	m.ownUops()
+	m.ownUops(pc)
 	u := &m.uops[pc]
 	words, cycles := in.Op.Meta()
 	*u = uop{in: in, d: in.Dst, s: in.Src, cycles: uint8(cycles)}

@@ -5,7 +5,11 @@ import (
 	"slices"
 )
 
-// HookKind says where an armed deadline fires.
+// HookKind says where an armed deadline fires. Every kind fires at the
+// first instruction boundary at or after its at, on every engine: the
+// earliest deadline is part of the run loop's horizon, so the fast loop stops
+// there and no fused block crosses it. Arming an entry never changes what
+// the run computes.
 type HookKind uint8
 
 const (
@@ -14,12 +18,12 @@ const (
 	// arming another replaces it, and its schedule is part of MachineState.
 	HookSample HookKind = iota
 	// HookCheckpoint entries fire at the top of RunUntil's outer loop, after
-	// a due sample. The fast loop never tests either kind, so arming one
-	// never changes which engine runs the machine.
+	// a due sample.
 	HookCheckpoint
 	// HookInject entries fire inside Step, after device sync and before
-	// interrupt delivery. While any is pending, Run/RunUntil take the checked
-	// Step path and CaptureState refuses with ErrArmedInjector.
+	// interrupt delivery: once one is due, RunUntil routes the next
+	// instruction through Step (mustStep). While any is pending,
+	// CaptureState refuses with ErrArmedInjector.
 	HookInject
 )
 
@@ -39,23 +43,18 @@ type hook struct {
 // mark. Entries due together fire in (at, arm order), a sample first. An
 // entry armed from inside a callback fires no earlier than the next boundary.
 func (m *Machine) Arm(kind HookKind, at, every uint64, fn func(at uint64)) {
-	switch kind {
-	case HookSample:
+	if kind == HookSample {
 		m.Cancel(HookSample)
-	case HookInject:
-		m.injects++
 	}
 	m.hooks = append(m.hooks, hook{at: at, every: every, seq: m.hookSeq, kind: kind, fn: fn})
 	m.hookSeq++
 	m.hookAt = min(m.hookAt, at)
+	m.syncHorizon()
 }
 
 // Cancel drops every pending entry of the given kind.
 func (m *Machine) Cancel(kind HookKind) {
 	m.hooks = slices.DeleteFunc(m.hooks, func(e hook) bool { return e.kind == kind })
-	if kind == HookInject {
-		m.injects = 0
-	}
 	m.syncHookAt()
 }
 
@@ -65,11 +64,16 @@ func (m *Machine) syncHookAt() {
 	for _, e := range m.hooks {
 		m.hookAt = min(m.hookAt, e.at)
 	}
+	m.syncHorizon()
 }
 
-// sampler returns the index of the HookSample entry, or -1.
-func (m *Machine) sampler() int {
-	return slices.IndexFunc(m.hooks, func(e hook) bool { return e.kind == HookSample })
+// syncHorizon refreshes the fast loop's stop cycle from its two inputs.
+func (m *Machine) syncHorizon() { m.horizon = min(m.dev.nextEvent, m.hookAt) }
+
+// armed returns the index of the first pending entry of the given kind, or
+// -1.
+func (m *Machine) armed(kind HookKind) int {
+	return slices.IndexFunc(m.hooks, func(e hook) bool { return e.kind == kind })
 }
 
 // fireDue runs the entries due now: the inject entries when inject is set
@@ -97,9 +101,6 @@ func (m *Machine) fireDue(inject bool) {
 			at += (m.cycle - at) / e.every * e.every
 			m.hooks[next].at = at + e.every
 		} else {
-			if e.kind == HookInject {
-				m.injects--
-			}
 			m.hooks = slices.Delete(m.hooks, next, next+1)
 		}
 		m.syncHookAt()
@@ -109,8 +110,13 @@ func (m *Machine) fireDue(inject bool) {
 
 // mustStep reports whether the run loop has to take the checked Step path:
 // a fault, sleep or pending interrupt to examine, stepwise mode, a
-// per-instruction profiler, or a pending inject entry.
+// per-instruction profiler, or an entry due. Once the outer loop has fired
+// the sample and checkpoint entries due, an entry still due is an inject
+// entry, which fires in Step, or one a callback armed during that pass,
+// which waits for the next boundary; one Step gets to it exactly as the
+// checked loop does. Block chaining re-checks this after every kernel trap,
+// because a trap service can leave any of it behind or bring an entry due.
 func (m *Machine) mustStep() bool {
 	return m.fault != nil || m.sleeping || m.pending != 0 ||
-		m.stepwise || m.prof.Instr != nil || m.injects != 0
+		m.stepwise || m.prof.Instr != nil || m.cycle >= m.hookAt
 }

@@ -100,11 +100,16 @@ type Machine struct {
 
 	// hooks is the deadline queue (hooks.go), in arm order. hookAt caches
 	// the earliest at (noEvent when empty), so a run-loop iteration with
-	// nothing due costs one comparison; injects counts the pending inject
-	// entries, which keep the run loop on the checked Step path.
-	hooks   []hook
-	hookAt  uint64
-	injects int
+	// nothing due costs one comparison.
+	hooks  []hook
+	hookAt uint64
+
+	// horizon is min(dev.nextEvent, hookAt): the first cycle at which the
+	// fast loop and fused blocks must hand control back to the outer run
+	// loop, so a device event and a hook deadline cost one comparison per
+	// instruction between them. syncHorizon refreshes it wherever either
+	// input moves.
+	horizon uint64
 
 	// Native-access memory guard (the kernel's isolation backstop for
 	// unpatched SP-relative accesses). Zero values disable it.
@@ -118,16 +123,17 @@ type Machine struct {
 	// into an executable uop (see dispatch.go). An entry whose in.Op is
 	// OpInvalid (the zero value) has not been built or was invalidated —
 	// the validity check rides on the same cache line as the entry itself.
-	// The fixed-size array lets a pc & (FlashWords-1) index elide its
-	// bounds check, and the pointer-free uop keeps the 64 Ki entries out
-	// of garbage-collector scans.
-	uops *[FlashWords]uop
+	// The slice covers the loaded code extent, not the whole address space:
+	// the first fill sizes it to codeEnd, and a pc beyond its end grows it
+	// (ownUops), so a word past the end reads as not built. The
+	// pointer-free uop keeps the entries out of garbage-collector scans.
+	uops []uop
 	// uopsShared marks a micro-op cache shared with another machine via
 	// AdoptImage: a machine that needs to fill or flush entries copies (or
-	// reallocates) the array first, so concurrently running machines never
-	// write a shared array.
+	// drops) the slice first, so concurrently running machines never write
+	// a shared array.
 	uopsShared bool
-	codeEnd    uint32 // highest loaded word + 1, for diagnostics
+	codeEnd    uint32 // highest loaded word + 1: the cache's first size
 
 	// xl, when non-nil, is the basic-block superinstruction translator
 	// (translate.go): hot straight-line runs between control transfers
@@ -154,7 +160,6 @@ type Machine struct {
 func New() *Machine {
 	m := &Machine{
 		flash: new([FlashWords]uint16),
-		uops:  new([FlashWords]uop),
 		xl:    newTranslator(DefaultTranslationThreshold),
 	}
 	m.Reset()
@@ -171,14 +176,30 @@ func (m *Machine) ownFlash() {
 	}
 }
 
-// ownUops copies a shared micro-op cache before the first write to it.
-func (m *Machine) ownUops() {
-	if m.uopsShared {
-		u := new([FlashWords]uop)
-		*u = *m.uops
-		m.uops = u
-		m.uopsShared = false
+// ownUops makes the micro-op cache writable at word pc: a shared cache is
+// copied before the first write to it, and one that ends at or before pc
+// grows to cover it and at least the loaded code extent.
+func (m *Machine) ownUops(pc uint32) {
+	n := len(m.uops)
+	if !m.uopsShared && int(pc) < n {
+		return
 	}
+	if int(pc) >= n {
+		n = extent(n, max(pc+1, m.codeEnd))
+	}
+	u := make([]uop, n)
+	copy(u, m.uops)
+	m.uops = u
+	m.uopsShared = false
+}
+
+// extent returns the length a per-word cache of length n grows to so that
+// it holds need words: at least double, in whole pages, capped at the flash
+// size. Doubling keeps a pc walking past the end (a NOP sled through empty
+// flash) from regrowing on every page.
+func extent(n int, need uint32) int {
+	want := (int(need) + pageWords - 1) / pageWords * pageWords
+	return min(max(want, 2*n), FlashWords)
 }
 
 // AdoptImage shares parent's flash and predecoded micro-op cache with m,
@@ -219,6 +240,7 @@ func (m *Machine) Reset() {
 	m.guardOn = false
 	m.Cancel(HookInject)
 	m.dev.reset()
+	m.syncHorizon()
 	m.SetSP(DataSize - 1)
 }
 
@@ -228,13 +250,14 @@ func (m *Machine) LoadFlash(base uint32, words []uint16) error {
 		return fmt.Errorf("mcu: flash overflow: base %#x + %d words", base, len(words))
 	}
 	m.ownFlash()
-	m.ownUops()
 	copy(m.flash[base:], words)
-	clear(m.uops[base : int(base)+len(words)])
-	// A cached 32-bit instruction starting at base-1 holds the old word at
-	// base as its operand word; invalidate it so the patched word is seen.
-	if base > 0 {
-		m.uops[base-1] = uop{}
+	// Drop the cached entries for the patched words, and for base-1: a
+	// cached 32-bit instruction starting there holds the old word at base as
+	// its operand word. Words past the cache's end hold no entry.
+	lo := max(int(base)-1, 0)
+	if hi := min(int(base)+len(words), len(m.uops)); lo < hi {
+		m.ownUops(uint32(lo))
+		clear(m.uops[lo:hi])
 	}
 	// Translated blocks fuse decoded words the same way; kill every block
 	// overlapping the patched range (a block's [leader, end) span covers
@@ -261,13 +284,13 @@ func (m *Machine) SetTrapHandler(h TrapHandler) {
 		m.xl.reset()
 	}
 	if m.uopsShared {
-		// The flush would clobber the other sharer's cache; allocate a
-		// fresh zeroed array instead of copying one we are about to clear.
-		m.uops = new([FlashWords]uop)
+		// The flush would clobber the other sharer's cache; drop it instead
+		// of copying one we are about to clear. The next fill allocates.
+		m.uops = nil
 		m.uopsShared = false
 		return
 	}
-	clear(m.uops[:])
+	clear(m.uops)
 }
 
 // SetRecorder attaches (or, with nil, detaches) the trace recorder the
@@ -433,7 +456,7 @@ func (m *Machine) faultf(kind FaultKind, addr uint16, note string) error {
 // the flash word on first execution.
 func (m *Machine) fetchUop(pc uint32) (*uop, error) {
 	pc &= FlashWords - 1
-	if m.uops[pc].in.Op == avr.OpInvalid {
+	if int(pc) >= len(m.uops) || m.uops[pc].in.Op == avr.OpInvalid {
 		if err := m.buildUop(pc); err != nil {
 			return nil, err
 		}
@@ -470,14 +493,16 @@ func (m *Machine) Run(limit uint64) error {
 // loop emits its own). Each outer-loop iteration first fires the sample and
 // checkpoint deadlines due, then executes the event-horizon fast loop unless
 // mustStep sends it to Step: no fault, not sleeping, no pending interrupt,
-// no profiler, no pending inject entry. Inside a horizon — up to the next
-// device event or the cycle limit — instructions dispatch straight through
-// the micro-op cache with no per-step checks at all; KTRAP and SLEEP entries
-// are marked checked and run through one Step so trap handlers and the
-// sleep path see exactly the per-Step machine state they always did. A
-// trace recorder does not force Step: every machine event it records is
-// emitted off the per-instruction path, and interrupts are only ever
-// delivered by Step.
+// no profiler, no entry still due. Inside a horizon — up to the next
+// device event, hook deadline or the cycle limit — instructions dispatch
+// straight through the micro-op cache with no per-step checks at all; KTRAP
+// and SLEEP entries are marked checked and run through one Step so trap
+// handlers and the sleep path see exactly the per-Step machine state they
+// always did. Because the earliest hook deadline bounds the horizon, every
+// engine hands the outer loop the same instruction boundary: the first one
+// at or past the deadline. A trace recorder does not force Step: every
+// machine event it records is emitted off the per-instruction path, and
+// interrupts are only ever delivered by Step.
 func (m *Machine) RunUntil(limit uint64) error {
 	for limit == 0 || m.cycle < limit {
 		if m.cycle >= m.hookAt {
@@ -495,25 +520,25 @@ func (m *Machine) RunUntil(limit uint64) error {
 		}
 		// Horizon entry is a block-leader point (trap return, post-sleep,
 		// post-interrupt resume): give the translator a chance to dispatch
-		// fused blocks before the per-op loop. The inline idx probe skips
+		// fused blocks before the per-op loop. The inlined dead probe skips
 		// the call for leaders already proven untranslatable (syscall
 		// wrappers starting at a KTRAP, lone branches) — common landing
 		// points that would otherwise pay a function call per visit.
 		// runTranslated only runs a block whose worst case fits strictly
 		// inside the horizon and cycle budget, so afterwards the clock is
 		// still short of both; the re-check is defensive.
-		if m.xl != nil && m.xl.idx[m.pc&(FlashWords-1)] != xlDead {
+		if m.xl != nil && !m.xl.dead(m.pc) {
 			halt, err := m.runTranslated(limit)
 			if err != nil {
 				return err
 			}
-			if halt || m.cycle >= m.dev.nextEvent || (limit != 0 && m.cycle >= limit) {
+			if halt || m.cycle >= m.horizon || (limit != 0 && m.cycle >= limit) {
 				continue
 			}
 		}
 		// Fast loop. Within the horizon nothing can set pending (syncDevices
 		// only runs once cycle reaches nextEvent, and I/O side effects that
-		// reschedule events re-check through dev.nextEvent below), so no
+		// reschedule events move the horizon re-checked below), so no
 		// per-instruction interrupt or device check is needed. A checked uop
 		// (KTRAP, SLEEP) executes exactly as Step would — the ladder Step
 		// runs first is all no-ops here — but the loop breaks afterwards so
@@ -521,13 +546,15 @@ func (m *Machine) RunUntil(limit uint64) error {
 		// re-examined before the next instruction.
 		for {
 			pc := m.pc & (FlashWords - 1)
-			u := &m.uops[pc]
-			if u.in.Op == avr.OpInvalid {
+			var u *uop
+			if uops := m.uops; int(pc) < len(uops) && uops[pc].in.Op != avr.OpInvalid {
+				u = &uops[pc]
+			} else {
 				if err := m.buildUop(pc); err != nil {
 					return m.faultf(FaultBadInst, 0, err.Error())
 				}
-				// buildUop may have copied a shared cache out from under
-				// us (copy-on-write); re-point at the live array.
+				// buildUop may have copied or grown the cache (copy-on-write
+				// or a pc past its end); point at the live slice.
 				u = &m.uops[pc]
 			}
 			m.insts++
@@ -564,19 +591,19 @@ func (m *Machine) RunUntil(limit uint64) error {
 			if err != nil {
 				return err
 			}
-			if u.checked || m.cycle >= m.dev.nextEvent || (limit != 0 && m.cycle >= limit) {
+			if u.checked || m.cycle >= m.horizon || (limit != 0 && m.cycle >= limit) {
 				break
 			}
 			// The PC after a control transfer is a basic-block leader;
 			// dispatch translated blocks (counting the landing) before
-			// falling back to per-op execution. The inline idx probe skips
+			// falling back to per-op execution. The inlined dead probe skips
 			// the call when the landing is already known untranslatable.
-			if u.ctl && m.xl != nil && m.xl.idx[m.pc&(FlashWords-1)] != xlDead {
+			if u.ctl && m.xl != nil && !m.xl.dead(m.pc) {
 				halt, err := m.runTranslated(limit)
 				if err != nil {
 					return err
 				}
-				if halt || m.cycle >= m.dev.nextEvent || (limit != 0 && m.cycle >= limit) {
+				if halt || m.cycle >= m.horizon || (limit != 0 && m.cycle >= limit) {
 					break
 				}
 			}
@@ -593,7 +620,7 @@ func (m *Machine) Step() error {
 	if m.cycle >= m.dev.nextEvent {
 		m.syncDevices()
 	}
-	if m.injects != 0 && m.cycle >= m.hookAt {
+	if m.cycle >= m.hookAt {
 		m.fireDue(true)
 	}
 	if m.pending != 0 && m.data[addrSREG]&flagI != 0 {

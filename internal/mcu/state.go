@@ -108,7 +108,7 @@ func (m *Machine) CaptureState() (*MachineState, error) {
 	if m.dev.adcSource != nil {
 		return nil, ErrCustomADCSource
 	}
-	if m.injects != 0 {
+	if m.armed(HookInject) >= 0 {
 		return nil, ErrArmedInjector
 	}
 	st := &MachineState{
@@ -144,7 +144,7 @@ func (m *Machine) CaptureState() (*MachineState, error) {
 			RadioIn:        append([]byte(nil), m.dev.radioIn...),
 		},
 	}
-	if i := m.sampler(); i >= 0 {
+	if i := m.armed(HookSample); i >= 0 {
 		st.SampleEvery, st.SampleNext = m.hooks[i].every, m.hooks[i].at
 	}
 	if m.fault != nil {
@@ -171,7 +171,7 @@ func (m *Machine) RestoreState(st *MachineState) error {
 	if st.FlashHash != m.flashHash() {
 		return ErrImageMismatch
 	}
-	smp := m.sampler()
+	smp := m.armed(HookSample)
 	if smp >= 0 && m.hooks[smp].every != st.SampleEvery {
 		return fmt.Errorf("%w: target %d, snapshot %d",
 			ErrSamplerMismatch, m.hooks[smp].every, st.SampleEvery)
@@ -221,5 +221,6 @@ func (m *Machine) RestoreState(st *MachineState) error {
 		radioOut:       append([]RadioFrame(nil), st.Dev.RadioOut...),
 		radioIn:        append([]byte(nil), st.Dev.RadioIn...),
 	}
+	m.syncHorizon()
 	return nil
 }

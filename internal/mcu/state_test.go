@@ -271,7 +271,7 @@ func TestAdoptImageCopyOnWrite(t *testing.T) {
 
 	child := New()
 	child.AdoptImage(parent)
-	if child.flash != parent.flash || child.uops != parent.uops {
+	if child.flash != parent.flash || len(child.uops) == 0 || &child.uops[0] != &parent.uops[0] {
 		t.Fatal("AdoptImage did not share the arrays")
 	}
 	// A flash write on the child must split the image and leave the parent's

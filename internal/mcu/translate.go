@@ -20,7 +20,7 @@ import (
 // Safety rules, in order of importance:
 //
 //   - Only the fast loop dispatches blocks. The checked Step path (stepwise,
-//     trace, profile, injector, interrupt delivery) never sees a fused block,
+//     profile, a due injection, interrupt delivery) never sees a fused block,
 //     so observers keep their per-instruction byte-identical streams.
 //   - A block never contains a checked op (KTRAP, SLEEP), a BREAK, or an op
 //     whose I/O side effects can reschedule device events (OUT/SBI/CBI/STS to
@@ -29,10 +29,11 @@ import (
 //     terminator, executed through the ordinary dispatch table with all
 //     machine state flushed — so mid-block, dev.nextEvent is a constant.
 //   - A block is dispatched only when its worst-case cycle count fits
-//     strictly inside the current horizon and cycle budget. Every boundary
-//     the outer run loop could observe (sampler, checkpoint, horizon sync)
-//     therefore lands on exactly the same cycle as per-instruction execution,
-//     because the per-op fallback finishes every horizon.
+//     strictly inside the current horizon (next device event or hook
+//     deadline) and cycle budget. Every boundary the outer run loop could
+//     observe (a due hook, a device sync) therefore lands on exactly the same
+//     cycle as per-instruction execution, because the per-op fallback
+//     finishes every horizon.
 //   - Faultable ops (SRAM loads/stores, push/pop) flush cycle, PC, and SREG
 //     before calling the shared guarded helpers, so a mid-block fault leaves
 //     precisely the architectural state the per-op path would have left.
@@ -193,10 +194,12 @@ type block struct {
 // translator is the per-machine block cache. idx maps each flash word to its
 // translation state: 0 = never landed on, negative = landing countdown
 // toward the threshold, xlDead = untranslatable, positive = 1-based index
-// into blocks. The array is private to its machine (never shared by
-// AdoptImage), so block dispatch needs no ownership checks.
+// into blocks. Like the micro-op cache it covers only the words landed on so
+// far, growing on demand (set); a word past its end reads as 0. The slice is
+// private to its machine (never shared by AdoptImage), so block dispatch
+// needs no ownership checks.
 type translator struct {
-	idx       *[FlashWords]int32
+	idx       []int32
 	blocks    []*block
 	free      []int32 // reusable nil slots in blocks (indices stay stable)
 	threshold int32
@@ -208,7 +211,23 @@ type translator struct {
 }
 
 func newTranslator(threshold int32) *translator {
-	return &translator{idx: new([FlashWords]int32), threshold: threshold}
+	return &translator{threshold: threshold}
+}
+
+// dead reports whether the leader at pc is known untranslatable.
+func (x *translator) dead(pc uint32) bool {
+	pc &= FlashWords - 1
+	return int(pc) < len(x.idx) && x.idx[pc] == xlDead
+}
+
+// set records leader pc's translation state, growing idx to cover it.
+func (x *translator) set(pc uint32, e int32) {
+	if n := len(x.idx); int(pc) >= n {
+		idx := make([]int32, extent(n, pc+1))
+		copy(idx, x.idx)
+		x.idx = idx
+	}
+	x.idx[pc] = e
 }
 
 // reset drops every block and landing counter (image swap, trap-handler
@@ -222,7 +241,7 @@ func (x *translator) reset() {
 	}
 	x.blocks = x.blocks[:0]
 	x.free = x.free[:0]
-	*x.idx = [FlashWords]int32{}
+	clear(x.idx)
 }
 
 // invalidate kills every block overlapping the flash words [base, end).
@@ -244,7 +263,7 @@ func (x *translator) invalidate(base, end uint32) {
 	if lo > 0 {
 		lo--
 	}
-	for p := lo; p < end && p < FlashWords; p++ {
+	for p := lo; p < end && int(p) < len(x.idx); p++ {
 		if x.idx[p] < 0 {
 			x.idx[p] = 0
 		}
@@ -727,12 +746,6 @@ func (m *Machine) translateBlock(leader uint32) *block {
 	return b
 }
 
-// ladderDue reports whether the outer run loop has per-iteration work to do
-// right now: a hook deadline due, or anything that sends it to Step. Block
-// chaining across kernel traps re-checks exactly this set, because a trap
-// service can leave any of it behind.
-func (m *Machine) ladderDue() bool { return m.cycle >= m.hookAt || m.mustStep() }
-
 // nextPC is the architectural PC after the op at index i — where the per-op
 // path would resume if the block stopped right after it.
 func (b *block) nextPC(i int) uint32 {
@@ -765,19 +778,22 @@ func (m *Machine) runTranslated(limit uint64) (halt bool, err error) {
 	sreg := m.data[addrSREG]
 	var done, fused, iters uint64
 	var b *block
-	// The first cycle a block body must not reach: the device horizon,
-	// tightened by the run's cycle budget. Fused ops cannot move
-	// dev.nextEvent, so the bound stays valid across chained dispatches and
-	// is refreshed only where it can move: kernel traps, dispatch-table
-	// terminators, and fOutDev (which re-checks inline).
-	stop := m.dev.nextEvent
+	// The first cycle a block body must not reach: the horizon (next device
+	// event or hook deadline), tightened by the run's cycle budget. Fused
+	// ops cannot move either, so the bound stays valid across chained
+	// dispatches and is refreshed only where it can move: kernel traps,
+	// dispatch-table terminators, and fOutDev (which re-checks inline).
+	stop := m.horizon
 	if limit != 0 && limit < stop {
 		stop = limit
 	}
 loop:
 	for {
 		pc := m.pc & (FlashWords - 1)
-		e := x.idx[pc]
+		var e int32
+		if int(pc) < len(x.idx) {
+			e = x.idx[pc]
+		}
 		if e <= 0 {
 			if e == xlDead {
 				m.data[addrSREG] = sreg
@@ -785,13 +801,13 @@ loop:
 			}
 			e--
 			if -e < x.threshold {
-				x.idx[pc] = e
+				x.set(pc, e)
 				m.data[addrSREG] = sreg
 				break
 			}
 			nb := m.translateBlock(pc)
 			if nb == nil {
-				x.idx[pc] = xlDead
+				x.set(pc, xlDead)
 				m.data[addrSREG] = sreg
 				break
 			}
@@ -805,7 +821,7 @@ loop:
 				x.blocks = append(x.blocks, nb)
 				e = int32(len(x.blocks))
 			}
-			x.idx[pc] = e
+			x.set(pc, e)
 		}
 		b = x.blocks[e-1]
 		if m.cycle+uint64(b.wcet) >= stop {
@@ -1064,7 +1080,7 @@ loop:
 				// outer loop sync.
 				m.cycle = start + uint64(f.cum)
 				m.writeIO(f.a, m.data[f.d])
-				stop = m.dev.nextEvent
+				stop = m.horizon
 				if limit != 0 && limit < stop {
 					stop = limit
 				}
@@ -1256,12 +1272,12 @@ loop:
 					err = m.fault
 					break loop
 				}
-				if m.ladderDue() {
+				if m.mustStep() {
 					halt = true
 					break loop
 				}
 				sreg = m.data[addrSREG]
-				stop = m.dev.nextEvent
+				stop = m.horizon
 				if limit != 0 && limit < stop {
 					stop = limit
 				}
@@ -1293,12 +1309,12 @@ loop:
 				err = m.fault
 				break loop
 			}
-			if m.ladderDue() {
+			if m.mustStep() {
 				halt = true
 				break loop
 			}
 			sreg = m.data[addrSREG]
-			stop = m.dev.nextEvent
+			stop = m.horizon
 			if limit != 0 && limit < stop {
 				stop = limit
 			}
@@ -1310,20 +1326,17 @@ loop:
 			m.insts += done
 			fused += done
 			done = 0
-			tu := &m.uops[b.termPC]
-			if tu.in.Op == avr.OpInvalid {
-				if berr := m.buildUop(b.termPC); berr != nil {
-					err = m.faultf(FaultBadInst, 0, berr.Error())
-					break loop
-				}
-				tu = &m.uops[b.termPC]
+			tu, berr := m.fetchUop(b.termPC)
+			if berr != nil {
+				err = m.faultf(FaultBadInst, 0, berr.Error())
+				break loop
 			}
 			if terr := dispatch[byte(tu.in.Op)](m, tu); terr != nil {
 				err = terr
 				break loop
 			}
 			sreg = m.data[addrSREG]
-			stop = m.dev.nextEvent
+			stop = m.horizon
 			if limit != 0 && limit < stop {
 				stop = limit
 			}

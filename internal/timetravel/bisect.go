@@ -44,7 +44,7 @@ func (d *Debugger) SeekFirst(pred func(*Inspector) bool) (*Inspector, error) {
 	if err != nil {
 		return nil, err
 	}
-	insp := &Inspector{sys: sys, seekTo: base, base: base, fromRing: fromRing}
+	insp := newInspector(sys, base, base, fromRing)
 	m := sys.Machine()
 	for !pred(insp) {
 		cur := m.Cycles()
@@ -70,5 +70,5 @@ func (d *Debugger) predAt(cycle uint64, pred func(*Inspector) bool) (bool, error
 	if err != nil {
 		return false, err
 	}
-	return pred(&Inspector{sys: sys, seekTo: cycle, base: base, fromRing: fromRing}), nil
+	return pred(newInspector(sys, cycle, base, fromRing)), nil
 }

@@ -20,6 +20,15 @@ type Inspector struct {
 	fromRing bool
 }
 
+// newInspector wraps a landed system and leaves it in checked mode, so its
+// state — the Stepwise flag included — matches a straight checked run's, and
+// a caller (or SeekFirst's boundary-by-boundary window) that runs it further
+// steps one instruction at a time.
+func newInspector(sys *core.System, seekTo, base uint64, fromRing bool) *Inspector {
+	sys.Machine().SetStepwise(true)
+	return &Inspector{sys: sys, seekTo: seekTo, base: base, fromRing: fromRing}
+}
+
 // System exposes the landed system (read it, don't run it — running moves
 // the Inspector off its cycle).
 func (in *Inspector) System() *core.System { return in.sys }

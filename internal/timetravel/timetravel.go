@@ -2,16 +2,19 @@
 // simulator: it records one run while arming a ring of periodic checkpoints
 // (checkpoint entries on the machine's deadline queue and the snapshot v2 wire
 // format), then serves Seek(cycle) by restoring the nearest prior checkpoint
-// into a fresh system and re-executing in checked mode to the exact cycle.
-// The landed state is byte-identical to a straight checked run to that cycle
-// — machine, kernel, and every attached observer — so an Inspector over it
-// reads the truth, not an approximation. SeekFirst bisects the checkpoint
-// ring and replays to find the first cycle a monotone predicate becomes
-// true (watchpoint hit, sentinel tamper, invariant break).
+// into a fresh system and re-executing on the factory's engine (fused by
+// default) to the exact cycle. The landed state is byte-identical to a
+// straight checked run to that cycle — machine, kernel, and every attached
+// observer — so an Inspector over it reads the truth, not an approximation.
+// SeekFirst bisects the checkpoint ring and replays to find the first cycle
+// a monotone predicate becomes true (watchpoint hit, sentinel tamper,
+// invariant break).
 //
-// Everything rides existing determinism guarantees: checkpoints fire only at
-// run-loop boundaries the run reaches anyway, so arming the ring never
-// perturbs the recorded trajectory.
+// Everything rides existing determinism guarantees: every engine is
+// cycle-identical and fires a machine hook at the same instruction boundary
+// (the first one at or past its deadline), so the recording, its ring and a
+// replay all agree with a checked run, and arming the ring never perturbs
+// the recorded trajectory.
 package timetravel
 
 import (
@@ -40,7 +43,8 @@ type Config struct {
 	// from boot). Default 8.
 	Checkpoints int
 	// Every is the nominal cycle spacing between checkpoints — the knob of
-	// the seek cost model: expected checked-replay distance is Every/2.
+	// the seek cost model: expected replay distance is Every/2, run on the
+	// default (fused) engine.
 	// Default 1<<20.
 	Every uint64
 	// Rearm, when non-nil, runs right after Boot on the recorded run and on
@@ -200,9 +204,11 @@ func (d *Debugger) nearest(cycle uint64) *ringEntry {
 
 // Seek lands a fresh system on the first instruction boundary at or past
 // cycle and returns an Inspector over it. It restores the nearest prior ring
-// checkpoint (falling back to a replay from boot) and re-executes in checked
-// mode; the landed state — machine, kernel, and every observer stream — is
-// byte-identical to a straight checked run to the same cycle.
+// checkpoint (falling back to a replay from boot) and re-executes on the
+// factory's engine (fused by default); the landed state — machine, kernel,
+// and every observer stream — is byte-identical to a straight checked run to
+// the same cycle, and the landed system is left in checked mode, as that
+// run's is.
 func (d *Debugger) Seek(cycle uint64) (*Inspector, error) { return d.seek(cycle, false) }
 
 // SeekBytes is Seek, but restores from the checkpoint's snapshot v2 wire
@@ -232,12 +238,13 @@ func (d *Debugger) seek(cycle uint64, fromBytes bool) (*Inspector, error) {
 			return nil, err
 		}
 	}
-	return &Inspector{sys: sys, seekTo: cycle, base: base, fromRing: fromRing}, nil
+	return newInspector(sys, cycle, base, fromRing), nil
 }
 
 // seekBase builds a fresh system positioned at the best starting point for a
 // replay to cycle: restored from the nearest prior checkpoint, or booted
-// (with Rearm) when none is retained. The system is left in checked mode.
+// (with Rearm) when none is retained. The system keeps the engine its
+// factory (or the checkpoint) selected.
 func (d *Debugger) seekBase(cycle uint64, fromBytes bool) (sys *core.System, base uint64, fromRing bool, err error) {
 	sys, err = d.build()
 	if err != nil {
@@ -264,6 +271,5 @@ func (d *Debugger) seekBase(cycle uint64, fromBytes bool) (sys *core.System, bas
 		}
 		base = sys.Machine().Cycles()
 	}
-	sys.Machine().SetStepwise(true)
 	return sys, base, fromRing, nil
 }

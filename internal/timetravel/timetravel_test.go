@@ -154,6 +154,34 @@ func TestRingCapture(t *testing.T) {
 	}
 }
 
+// The ring's capture cycles do not depend on the engine that recorded the
+// run: a checkpoint fires at the first instruction boundary at or past its
+// deadline on fused blocks exactly as on the checked path, so a fused and a
+// stepwise recording of one system hold the same ring.
+func TestRingEngineIndependent(t *testing.T) {
+	cfg := Config{Checkpoints: 8, Every: 10_007}
+	fused := ttRecord(t, cfg)
+	if fused.Recorded().Machine().TranslationStats().FusedDispatches == 0 {
+		t.Fatal("the default engine dispatched no fused blocks")
+	}
+	stepwise, err := New(func() (*core.System, error) {
+		sys, err := ttFactory()
+		if err == nil {
+			sys.Machine().SetStepwise(true)
+		}
+		return sys, err
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stepwise.Record(ttLimit); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fused.Checkpoints(), stepwise.Checkpoints(); !slices.Equal(got, want) {
+		t.Errorf("fused ring %v, stepwise ring %v", got, want)
+	}
+}
+
 func TestSeekIdentity(t *testing.T) {
 	d := ttRecord(t, Config{Checkpoints: 6, Every: 32_768})
 	cks := d.Checkpoints()
@@ -318,5 +346,29 @@ func TestRecordSurfacesCaptureFailure(t *testing.T) {
 	// Seeks still work — everything is a boot-fallback replay.
 	if _, err := d.Seek(100_000); err != nil {
 		t.Fatal(err)
+	}
+}
+
+var seekSink *Inspector
+
+// BenchmarkSeek measures one Seek into the two-task recording: a factory
+// build, a restore from the nearest ring checkpoint and a replay of up to
+// Every cycles on the default engine.
+func BenchmarkSeek(b *testing.B) {
+	d, err := New(ttFactory, Config{Checkpoints: 16, Every: ttLimit / 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := d.Record(ttLimit); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		insp, err := d.Seek(d.End() * uint64(i%15+1) / 16)
+		if err != nil {
+			b.Fatal(err)
+		}
+		seekSink = insp
 	}
 }
