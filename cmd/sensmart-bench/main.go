@@ -184,7 +184,7 @@ func run(args []string) error {
 				if err != nil {
 					return err
 				}
-				werr := trace.WriteChrome(f, rec.Events(), trace.ChromeOptions{
+				werr := rec.WriteChrome(f, trace.ChromeOptions{
 					ClockHz:     mcu.ClockHz,
 					ServiceName: kernel.ServiceName,
 				})

@@ -194,7 +194,7 @@ func printEvents(insp *timetravel.Inspector, n int) {
 		fmt.Println("   events: none recorded")
 		return
 	}
-	names := trace.TaskNames(insp.Events(0))
+	names := insp.System().Trace().TaskNames()
 	name := func(id int32) string {
 		if nm, ok := names[id]; ok {
 			return nm

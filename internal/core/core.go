@@ -201,7 +201,7 @@ func (s *System) WriteTrace(w io.Writer) error {
 	if r == nil {
 		return errors.New("core: no trace recorder attached; use WithTrace")
 	}
-	return trace.WriteChrome(w, r.Events(), trace.ChromeOptions{
+	return r.WriteChrome(w, trace.ChromeOptions{
 		ClockHz:     mcu.ClockHz,
 		ServiceName: kernel.ServiceName,
 	})

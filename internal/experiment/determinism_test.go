@@ -51,10 +51,10 @@ func TestTraceStreamsAreByteIdentical(t *testing.T) {
 
 	var json1, json2 bytes.Buffer
 	opts := trace.ChromeOptions{ClockHz: mcu.ClockHz, ServiceName: kernel.ServiceName}
-	if err := trace.WriteChrome(&json1, rec1.Events(), opts); err != nil {
+	if err := rec1.WriteChrome(&json1, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteChrome(&json2, rec2.Events(), opts); err != nil {
+	if err := rec2.WriteChrome(&json2, opts); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(json1.Bytes(), json2.Bytes()) {

@@ -107,24 +107,21 @@ func forensicReplay(victimName string, victimNat, sentinelNat *rewriter.Naturali
 	if err := traced.k.Run(div.Cycle); err != nil {
 		return nil, fmt.Errorf("faultinject: forensic trace replay: %w", err)
 	}
-	evs := rec.Events()
+	end := rec.Len()
 	// Drop the budget stamp of the replay's own stop — it is an artifact of
 	// halting at the divergence cycle, not part of the trial's history.
-	if n := len(evs); n > 0 && evs[n-1].Kind == trace.KindBudget {
-		evs = evs[:n-1]
+	if end > 0 && rec.At(end-1).Kind == trace.KindBudget {
+		end--
 	}
-	if len(evs) > forensicEvents {
-		evs = evs[len(evs)-forensicEvents:]
-	}
-	names := trace.TaskNames(rec.Events())
+	names := rec.TaskNames()
 	name := func(id int32) string {
 		if n, ok := names[id]; ok {
 			return n
 		}
 		return fmt.Sprintf("task%d", id)
 	}
-	for _, e := range evs {
-		f.LastEvents = append(f.LastEvents, e.Format(name))
+	for i := max(end-forensicEvents, 0); i < end; i++ {
+		f.LastEvents = append(f.LastEvents, rec.At(i).Format(name))
 	}
 	return f, nil
 }

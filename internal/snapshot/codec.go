@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/energy"
 	"repro/internal/kernel"
@@ -449,12 +450,22 @@ func (d *dec) kernelState() *kernel.KernelState {
 
 // --- trace ---
 
+// eventMinSize is the encoded size of a trace event with an empty detail:
+// cycle, kind, task, arg, arg2, pc and the detail length.
+const eventMinSize = 8 + 1 + 4 + 8 + 8 + 4 + 4
+
 func (e *enc) recorderState(st *trace.RecorderState) {
 	e.i64(int64(st.Limit))
 	e.u64(st.Dropped)
-	e.count(len(st.Events))
-	for i := range st.Events {
-		ev := &st.Events[i]
+	n := st.Len()
+	e.count(n)
+	size := n * eventMinSize
+	for i := 0; i < n; i++ {
+		size += len(st.At(i).Detail)
+	}
+	e.b = slices.Grow(e.b, size)
+	for i := 0; i < n; i++ {
+		ev := st.At(i)
 		e.u64(ev.Cycle)
 		e.u8(uint8(ev.Kind))
 		e.u32(uint32(ev.Task))
@@ -465,16 +476,16 @@ func (e *enc) recorderState(st *trace.RecorderState) {
 	}
 }
 
+// recorderState decodes the trace section by emitting its events into a
+// recorder and capturing it, so a decoded state is laid out in chunks
+// exactly as a captured one.
 func (d *dec) recorderState() *trace.RecorderState {
-	st := &trace.RecorderState{}
-	st.Limit = int(d.i64())
-	st.Dropped = d.u64()
-	n := d.sliceCount(33)
-	if n > 0 {
-		st.Events = make([]trace.Event, n)
-	}
-	for i := range st.Events {
-		ev := &st.Events[i]
+	limit := int(d.i64())
+	dropped := d.u64()
+	n := d.sliceCount(eventMinSize)
+	r := trace.New()
+	for i := 0; i < n && d.err == nil; i++ {
+		var ev trace.Event
 		ev.Cycle = d.u64()
 		ev.Kind = trace.Kind(d.u8())
 		ev.Task = int32(d.u32())
@@ -482,7 +493,10 @@ func (d *dec) recorderState() *trace.RecorderState {
 		ev.Arg2 = d.u64()
 		ev.PC = d.u32()
 		ev.Detail = d.str()
+		r.Emit(ev)
 	}
+	st := r.CaptureState()
+	st.Limit, st.Dropped = limit, dropped
 	return st
 }
 

@@ -110,14 +110,10 @@ func testState() *State {
 	return &State{
 		Machine: m,
 		Kernel:  k,
-		Trace: &trace.RecorderState{
-			Limit:   0,
-			Dropped: 2,
-			Events: []trace.Event{
-				{Cycle: 1, Kind: trace.KindBoot, Task: -1, Arg: 0, Arg2: 0, PC: 0, Detail: "boot"},
-				{Cycle: 50, Kind: trace.KindTrapEnter, Task: 0, Arg: 3, Arg2: 4, PC: 0x77, Detail: ""},
-			},
-		},
+		Trace: recorderState(0, 2, []trace.Event{
+			{Cycle: 1, Kind: trace.KindBoot, Task: -1, Arg: 0, Arg2: 0, PC: 0, Detail: "boot"},
+			{Cycle: 50, Kind: trace.KindTrapEnter, Task: 0, Arg: 3, Arg2: 4, PC: 0x77, Detail: ""},
+		}),
 		Telemetry: &telemetry.SamplerState{
 			Every: 65536,
 			Ring:  1024,
@@ -164,29 +160,58 @@ func testState() *State {
 	}
 }
 
+// recorderState returns the captured state of a recorder fed events, with
+// the given limit and drop count.
+func recorderState(limit int, dropped uint64, events []trace.Event) *trace.RecorderState {
+	r := trace.New()
+	for _, e := range events {
+		r.Emit(e)
+	}
+	st := r.CaptureState()
+	st.Limit, st.Dropped = limit, dropped
+	return st
+}
+
 // TestRoundTrip: decode(encode(state)) reproduces the state exactly, and
 // re-encoding the decoded state reproduces the bytes exactly — the encoding
 // is canonical.
 func TestRoundTrip(t *testing.T) {
+	for _, st := range []*State{testState(), multiChunkState()} {
+		blob, err := Encode(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, st) {
+			t.Errorf("decoded state with %d trace events differs from the original", st.Trace.Len())
+		}
+		again, err := Encode(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Error("re-encoding the decoded state produced different bytes")
+		}
+	}
+}
+
+// multiChunkState is testState with a trace that spans two storage chunks
+// and repeats its details, including invalid UTF-8.
+func multiChunkState() *State {
 	st := testState()
-	blob, err := Encode(st)
-	if err != nil {
-		t.Fatal(err)
+	details := []string{"", "blink#0", "sense#1", "bad\xffutf8", "stack-overflow"}
+	var evs []trace.Event
+	for i := 0; i < 5000; i++ {
+		evs = append(evs, trace.Event{
+			Cycle: uint64(i) * 13, Kind: trace.KindTrapEnter + trace.Kind(i%3), Task: int32(i%4) - 1,
+			Arg: uint64(i), Arg2: uint64(i % 7), PC: uint32(i * 3), Detail: details[i%len(details)],
+		})
 	}
-	got, err := Decode(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, st) {
-		t.Error("decoded state differs from the original")
-	}
-	again, err := Encode(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, blob) {
-		t.Error("re-encoding the decoded state produced different bytes")
-	}
+	st.Trace = recorderState(6000, 0, evs)
+	return st
 }
 
 // TestRoundTripNoObservers: a snapshot from an unobserved system (no trace,
@@ -391,6 +416,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	mut := append([]byte(nil), good...)
 	mut[headerSize+100] ^= 0x80
 	f.Add(mut)
+	big, err := Encode(multiChunkState())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(big)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if st, err := Decode(data); err == nil {

@@ -98,9 +98,12 @@ func (in *Inspector) Events(n int) []trace.Event {
 	if r == nil {
 		return nil
 	}
-	evs := r.Events()
-	if n > 0 && len(evs) > n {
-		evs = evs[len(evs)-n:]
+	if n <= 0 || n > r.Len() {
+		n = r.Len()
+	}
+	evs := make([]trace.Event, n)
+	for i := range evs {
+		evs[i] = r.At(r.Len() - n + i)
 	}
 	return evs
 }

@@ -50,7 +50,7 @@ func BenchmarkWriteChrome(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := trace.WriteChrome(io.Discard, rec.Events(), opt); err != nil {
+		if err := rec.WriteChrome(io.Discard, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

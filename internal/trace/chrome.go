@@ -32,7 +32,7 @@ const kernelTID = 0
 // w, so the export holds one chunk in memory rather than the whole document.
 const chromeChunk = 64 << 10
 
-// WriteChrome exports the event stream as Chrome trace_event JSON: context
+// WriteChrome exports the stream as Chrome trace_event JSON: context
 // switches become per-task "running" slices, KTRAP enter/exit pairs become
 // nested service slices, and the remaining kinds become instant events.
 // Load the output in chrome://tracing or https://ui.perfetto.dev.
@@ -45,7 +45,7 @@ const chromeChunk = 64 << 10
 // in one pass and written to w in chunks of about 64 KiB. A timestamp that
 // is not finite (a degenerate ClockHz) fails the export as encoding/json
 // fails it, but w may by then hold a prefix of the document.
-func WriteChrome(w io.Writer, events []Event, opt ChromeOptions) error {
+func (s *stream) WriteChrome(w io.Writer, opt ChromeOptions) error {
 	if opt.ClockHz == 0 {
 		opt.ClockHz = 7372800
 	}
@@ -56,7 +56,7 @@ func WriteChrome(w io.Writer, events []Event, opt ChromeOptions) error {
 	c.buf = append(c.buf, `{"traceEvents":[`...)
 	c.meta("process_name", kernelTID, opt.ProcessName)
 	c.meta("thread_name", kernelTID, "kernel")
-	names := TaskNames(events)
+	names := s.TaskNames()
 	ids := make([]int32, 0, len(names))
 	for id := range names {
 		ids = append(ids, id)
@@ -70,7 +70,7 @@ func WriteChrome(w io.Writer, events []Event, opt ChromeOptions) error {
 	var (
 		curTask  int32 = -1
 		curStart uint64
-		trapOpen = map[int32]Event{}
+		trapOpen = map[int32]record{}
 		lastC    uint64
 	)
 	endRun := func(to uint64) {
@@ -80,76 +80,79 @@ func WriteChrome(w io.Writer, events []Event, opt ChromeOptions) error {
 			curTask = -1
 		}
 	}
-	for _, e := range events {
-		lastC = e.Cycle
-		switch e.Kind {
-		case KindSwitch:
-			endRun(e.Cycle)
-			curTask, curStart = e.Task, e.Cycle
-		case KindTaskExit:
-			if e.Task == curTask {
+	for _, chunk := range s.chunks {
+		for i := range chunk {
+			e := &chunk[i]
+			lastC = e.Cycle
+			switch e.Kind {
+			case KindSwitch:
 				endRun(e.Cycle)
+				curTask, curStart = e.Task, e.Cycle
+			case KindTaskExit:
+				if e.Task == curTask {
+					endRun(e.Cycle)
+				}
+				c.instant("task-exit: ", s.detail(e.detail), e)
+				c.args1("stack_peak", e.Arg)
+			case KindTrapEnter:
+				trapOpen[e.Task] = *e
+			case KindTrapExit:
+				if enter, ok := trapOpen[e.Task]; ok {
+					delete(trapOpen, e.Task)
+					c.slice(c.ktrapName(e.Arg), e.Task, enter.Cycle, e.Cycle)
+					c.args1("charged_cycles", e.Arg2)
+				}
+			case KindIdle:
+				c.slice("idle", -1, e.Cycle-e.Arg, e.Cycle)
+				c.end()
+			case KindBoot:
+				c.instant("boot", "", e)
+				c.args1("init_cycles", e.Arg)
+			case KindProgLoad:
+				c.instant("load: ", s.detail(e.detail), e)
+				c.args2("flash_base", e.Arg, "words", e.Arg2)
+			case KindTaskSpawn:
+				c.instant("spawn: ", s.detail(e.detail), e)
+				c.args2("region_base", e.Arg, "region_size", e.Arg2)
+			case KindPreempt:
+				c.instant("preempt", "", e)
+				c.end()
+			case KindReloc:
+				c.instant("stack-reloc", "", e)
+				c.args2("bytes", e.Arg, "cycles", e.Arg2)
+			case KindRelease:
+				c.instant("region-release", "", e)
+				c.args2("bytes", e.Arg, "cycles", e.Arg2)
+			case KindMemFault:
+				c.instant("mem-fault", "", e)
+				c.args2("addr", e.Arg, "pc", uint64(e.PC))
+			case KindWatch:
+				name := "watch-read"
+				if e.Arg2 != 0 {
+					name = "watch-write"
+				}
+				c.instant(name, "", e)
+				c.args2("addr", e.Arg, "pc", uint64(e.PC))
+			case KindSleep:
+				c.instant("sleep", "", e)
+				c.args1("wake_at", e.Arg)
+			case KindWake:
+				c.instant("wake", "", e)
+				c.end()
+			case KindInterrupt:
+				c.instant("interrupt", "", e)
+				c.args1("vector", e.Arg)
+			case KindHalt:
+				endRun(e.Cycle)
+				c.instant("halt: ", s.detail(e.detail), e)
+				c.end()
+			case KindBudget:
+				c.instant("budget-exhausted", "", e)
+				c.args1("limit", e.Arg)
 			}
-			c.instant("task-exit: ", e.Detail, e)
-			c.args1("stack_peak", e.Arg)
-		case KindTrapEnter:
-			trapOpen[e.Task] = e
-		case KindTrapExit:
-			if enter, ok := trapOpen[e.Task]; ok {
-				delete(trapOpen, e.Task)
-				c.slice(c.ktrapName(e.Arg), e.Task, enter.Cycle, e.Cycle)
-				c.args1("charged_cycles", e.Arg2)
+			if c.err != nil {
+				return c.err
 			}
-		case KindIdle:
-			c.slice("idle", -1, e.Cycle-e.Arg, e.Cycle)
-			c.end()
-		case KindBoot:
-			c.instant("boot", "", e)
-			c.args1("init_cycles", e.Arg)
-		case KindProgLoad:
-			c.instant("load: ", e.Detail, e)
-			c.args2("flash_base", e.Arg, "words", e.Arg2)
-		case KindTaskSpawn:
-			c.instant("spawn: ", e.Detail, e)
-			c.args2("region_base", e.Arg, "region_size", e.Arg2)
-		case KindPreempt:
-			c.instant("preempt", "", e)
-			c.end()
-		case KindReloc:
-			c.instant("stack-reloc", "", e)
-			c.args2("bytes", e.Arg, "cycles", e.Arg2)
-		case KindRelease:
-			c.instant("region-release", "", e)
-			c.args2("bytes", e.Arg, "cycles", e.Arg2)
-		case KindMemFault:
-			c.instant("mem-fault", "", e)
-			c.args2("addr", e.Arg, "pc", uint64(e.PC))
-		case KindWatch:
-			name := "watch-read"
-			if e.Arg2 != 0 {
-				name = "watch-write"
-			}
-			c.instant(name, "", e)
-			c.args2("addr", e.Arg, "pc", uint64(e.PC))
-		case KindSleep:
-			c.instant("sleep", "", e)
-			c.args1("wake_at", e.Arg)
-		case KindWake:
-			c.instant("wake", "", e)
-			c.end()
-		case KindInterrupt:
-			c.instant("interrupt", "", e)
-			c.args1("vector", e.Arg)
-		case KindHalt:
-			endRun(e.Cycle)
-			c.instant("halt: ", e.Detail, e)
-			c.end()
-		case KindBudget:
-			c.instant("budget-exhausted", "", e)
-			c.args1("limit", e.Arg)
-		}
-		if c.err != nil {
-			return c.err
 		}
 	}
 	endRun(lastC)
@@ -241,7 +244,7 @@ func (c *chromeWriter) slice(name string, task int32, from, to uint64) {
 }
 
 // instant begins a thread-scoped instant ("i") event at e's stamp.
-func (c *chromeWriter) instant(name, detail string, e Event) {
+func (c *chromeWriter) instant(name, detail string, e *record) {
 	c.begin(name, detail, "i", c.us(e.Cycle))
 	c.tid(chromeTID(e.Task))
 	c.buf = append(c.buf, `,"s":"t"`...)

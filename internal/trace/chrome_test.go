@@ -66,12 +66,21 @@ func edgeServiceName(class uint64) string {
 	return edgeDetails[class%uint64(len(edgeDetails))] + "#" + Kind(class).String()
 }
 
+// recorderOf returns a recorder fed events.
+func recorderOf(events []Event) *Recorder {
+	r := New()
+	for _, e := range events {
+		r.Emit(e)
+	}
+	return r
+}
+
 // requireChromeMatchesReference exports events both ways and requires the
 // same outcome: the same error state and, on success, the same bytes.
 func requireChromeMatchesReference(t *testing.T, events []Event, opt ChromeOptions) {
 	t.Helper()
 	var got, want bytes.Buffer
-	errGot := WriteChrome(&got, events, opt)
+	errGot := recorderOf(events).WriteChrome(&got, opt)
 	errWant := ReferenceWriteChrome(&want, events, opt)
 	if (errGot == nil) != (errWant == nil) {
 		t.Fatalf("ClockHz %v: WriteChrome error %v, reference error %v", opt.ClockHz, errGot, errWant)
@@ -95,7 +104,7 @@ func TestChromeMatchesReference(t *testing.T) {
 		})
 	}
 	var out bytes.Buffer
-	if err := WriteChrome(&out, events, ChromeOptions{ClockHz: 1e-15}); err != nil {
+	if err := recorderOf(events).WriteChrome(&out, ChromeOptions{ClockHz: 1e-15}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(out.Bytes(), []byte(`e+`)) || !bytes.HasSuffix(out.Bytes(), []byte("}\n")) {
@@ -139,7 +148,7 @@ func TestWriteChromeStreamsInChunks(t *testing.T) {
 			Event{Cycle: c + 30, Kind: KindTrapExit, Task: 0, Arg: 1, Arg2: 29})
 	}
 	var w chunkWriter
-	if err := WriteChrome(&w, events, ChromeOptions{}); err != nil {
+	if err := recorderOf(events).WriteChrome(&w, ChromeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(w.writes) < 2 {
@@ -175,8 +184,9 @@ func TestWriteChromeErrors(t *testing.T) {
 	for i := uint64(0); i < 10000; i++ {
 		events = append(events, Event{Cycle: i * 100, Kind: KindSwitch, Task: int32(i % 3)})
 	}
+	r := recorderOf(events)
 	for _, limit := range []int{0, chromeChunk + 1024, 1 << 30} {
-		err := WriteChrome(&failWriter{limit: limit}, events, ChromeOptions{})
+		err := r.WriteChrome(&failWriter{limit: limit}, ChromeOptions{})
 		if limit < 1<<30 && !errors.Is(err, errWriter) {
 			t.Errorf("writer failing after %d bytes: err = %v, want errWriter", limit, err)
 		}
@@ -184,12 +194,12 @@ func TestWriteChromeErrors(t *testing.T) {
 			t.Errorf("unbounded writer: err = %v", err)
 		}
 	}
-	if err := WriteChrome(&failWriter{}, nil, ChromeOptions{}); !errors.Is(err, errWriter) {
+	if err := New().WriteChrome(&failWriter{}, ChromeOptions{}); !errors.Is(err, errWriter) {
 		t.Errorf("empty stream on a failing writer: err = %v, want errWriter", err)
 	}
 	var out bytes.Buffer
 	for _, hz := range []float64{1e-310, math.NaN(), math.Inf(1)} {
-		err := WriteChrome(&out, events, ChromeOptions{ClockHz: hz})
+		err := r.WriteChrome(&out, ChromeOptions{ClockHz: hz})
 		if !math.IsInf(hz, 0) && err == nil {
 			t.Errorf("ClockHz %v: export of non-finite timestamps succeeded", hz)
 		}
@@ -231,8 +241,10 @@ func fuzzEvents(data []byte) []Event {
 	return evs
 }
 
-// FuzzTraceExport compares WriteChrome and Recorder.Encode with their
-// encoding/json and fmt references on generated event streams.
+// FuzzTraceExport emits generated event streams into a Recorder and
+// compares its WriteChrome and Encode with their encoding/json and fmt
+// references. Each stream is repeated until it crosses a chunk boundary,
+// so every detail recurs and the recorder interns it.
 func FuzzTraceExport(f *testing.F) {
 	var seed []byte
 	for _, e := range edgeStream() {
@@ -247,19 +259,22 @@ func FuzzTraceExport(f *testing.F) {
 		f.Add(seed, math.Float64bits(hz), "sensmart node", true)
 	}
 	f.Add([]byte("\x08\x01\x10\x00\x00\x01\x00\x03<&>\x08\x02\x10\x00\x30\x02\x00\x00"), math.Float64bits(1e-300), "\u2028\xff", false)
+	// The same invalid-UTF-8 detail on a spawn and a halt, then another.
+	f.Add([]byte("\x03\x01\x10\x00\x00\x01\x00\x02\xff\xfe\x11\x00\x10\x00\x00\x00\x00\x02\xff\xfe\x11\x00\x01\x00\x00\x00\x00\x01\xc3"), math.Float64bits(7372800), "sensmart node", true)
 	f.Fuzz(func(t *testing.T, data []byte, hzBits uint64, proc string, named bool) {
 		hz := math.Float64frombits(hzBits)
 		events := fuzzEvents(data)
+		if n := len(events); n > 0 {
+			for len(events) <= chunkSize {
+				events = append(events, events[:n]...)
+			}
+		}
 		opt := ChromeOptions{ClockHz: hz, ProcessName: proc}
 		if named {
 			opt.ServiceName = edgeServiceName
 		}
 		requireChromeMatchesReference(t, events, opt)
-		r := New()
-		for _, e := range events {
-			r.Emit(e)
-		}
-		if got, want := r.Encode(), ReferenceEncode(events); !bytes.Equal(got, want) {
+		if got, want := recorderOf(events).Encode(), ReferenceEncode(events); !bytes.Equal(got, want) {
 			t.Fatalf("Encode differs from the reference %s", FirstDiff(got, want))
 		}
 	})

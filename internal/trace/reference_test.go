@@ -67,7 +67,7 @@ func ReferenceWriteChrome(w io.Writer, events []Event, opt ChromeOptions) error 
 		Name: "thread_name", Phase: "M", PID: 0, TID: kernelTID,
 		Args: map[string]any{"name": "kernel"},
 	}}
-	names := TaskNames(events)
+	names := refTaskNames(events)
 	ids := make([]int32, 0, len(names))
 	for id := range names {
 		ids = append(ids, id)
@@ -173,6 +173,18 @@ func ReferenceWriteChrome(w io.Writer, events []Event, opt ChromeOptions) error 
 
 	enc := json.NewEncoder(w)
 	return enc.Encode(refChromeFile{TraceEvents: out, DisplayTimeUnit: "ms"})
+}
+
+// refTaskNames is the id-to-name table ReferenceWriteChrome labels threads
+// with: the last spawn detail of each task id.
+func refTaskNames(events []Event) map[int32]string {
+	names := make(map[int32]string)
+	for _, e := range events {
+		if e.Kind == KindTaskSpawn && e.Task >= 0 {
+			names[e.Task] = e.Detail
+		}
+	}
+	return names
 }
 
 // ReferenceEncode is the fmt.Fprintf rendering Recorder.Encode must

@@ -2,27 +2,29 @@ package trace
 
 // RecorderState is the serializable state of a Recorder: the retained event
 // stream plus the drop ledger, so a restored run's final trace is
-// byte-identical to an uninterrupted one.
+// byte-identical to an uninterrupted one. Len, At, Events, Encode,
+// WriteChrome and TaskNames read its stream.
+//
+// A state is immutable. It shares the recorder's full chunks, which are
+// never written again, and owns copies of the partial last chunk and the
+// detail table, so the stream is stored once however many states hold it.
 type RecorderState struct {
 	Limit   int
-	Events  []Event
 	Dropped uint64
+	stream
 }
 
-// CaptureState snapshots the recorder. The event slice is copied, so the
-// state stays valid while the recorder keeps appending.
+// CaptureState snapshots the recorder. The state stays valid while the
+// recorder keeps appending.
 func (r *Recorder) CaptureState() *RecorderState {
-	return &RecorderState{
-		Limit:   r.Limit,
-		Events:  append([]Event(nil), r.events...),
-		Dropped: r.dropped,
-	}
+	return &RecorderState{Limit: r.Limit, Dropped: r.dropped, stream: r.share(false)}
 }
 
-// RestoreState replaces the recorder's contents with a captured state,
-// copying the event slice so recorder and state never alias.
+// RestoreState replaces the recorder's contents with a captured state. The
+// recorder shares the state's full chunks and appends into its own copy of
+// the last one, so recorder and state never alias.
 func (r *Recorder) RestoreState(st *RecorderState) {
 	r.Limit = st.Limit
-	r.events = append([]Event(nil), st.Events...)
+	r.stream, r.index = st.share(true), nil
 	r.dropped = st.Dropped
 }

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -14,9 +17,10 @@ func TestCaptureRestoreState(t *testing.T) {
 	r.Emit(Event{Cycle: 4, Kind: KindHalt, Task: -1, Detail: "over limit"})
 
 	st := r.CaptureState()
-	if st.Limit != 3 || len(st.Events) != 3 || st.Dropped != 1 {
-		t.Fatalf("captured state = limit %d, %d events, %d dropped", st.Limit, len(st.Events), st.Dropped)
+	if st.Limit != 3 || st.Len() != 3 || st.Dropped != 1 {
+		t.Fatalf("captured state = limit %d, %d events, %d dropped", st.Limit, st.Len(), st.Dropped)
 	}
+	want := st.Encode()
 
 	r2 := New()
 	r2.RestoreState(st)
@@ -27,15 +31,131 @@ func TestCaptureRestoreState(t *testing.T) {
 		t.Fatalf("restored recorder = limit %d, dropped %d", r2.Limit, r2.Dropped())
 	}
 
-	// No aliasing in either direction: scribbling the state must not change
-	// the restored recorder, and continued emission must not change the state.
-	st.Events[0].Detail = "scribbled"
-	if strings.Contains(string(r2.Encode()), "scribbled") {
-		t.Fatal("restored recorder aliases the state slice")
-	}
+	// No aliasing in either direction: a restored recorder that keeps
+	// emitting, and a source that keeps emitting after a Reset, leave the
+	// captured state's bytes alone.
+	r2.Limit = 0
+	r2.Emit(Event{Cycle: 5, Kind: KindHalt, Detail: "scribbled"})
 	r.Emit(Event{Cycle: 5, Kind: KindBudget})
-	if st2 := r.CaptureState(); len(st2.Events) != 3 {
-		t.Fatalf("limited recorder retained %d events", len(st2.Events))
+	if st2 := r.CaptureState(); st2.Len() != 3 || st2.Dropped != 2 {
+		t.Fatalf("limited recorder retained %d events, dropped %d", st2.Len(), st2.Dropped)
+	}
+	r.Reset()
+	r.Emit(Event{Cycle: 6, Kind: KindHalt, Detail: "after reset"})
+	if got := st.Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("captured state changed after its recorders kept emitting:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRecordIsPointerFree pins the storage record at 40 bytes of integer
+// fields, none of which the garbage collector has to scan.
+func TestRecordIsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(record{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int32, reflect.Uint8, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("record field %s is a %s", f.Name, f.Type.Kind())
+		}
+	}
+	if typ.Size() != 40 {
+		t.Errorf("record is %d bytes, want 40", typ.Size())
+	}
+}
+
+// emitN feeds r n events of a kernel-like mix starting at cycle from, with
+// details that repeat (task names) and details that are new (per-event
+// notes) so the detail table grows across chunks.
+func emitN(r *Recorder, from uint64, n int, tag string) {
+	for i := 0; i < n; i++ {
+		c := from + uint64(i)*7
+		switch i % 5 {
+		case 0:
+			r.Emit(Event{Cycle: c, Kind: KindTaskSpawn, Task: int32(i % 3), Arg: c, Detail: tag + "task" + string(rune('a'+i%3))})
+		case 1:
+			r.Emit(Event{Cycle: c, Kind: KindTrapEnter, Task: int32(i % 3), Arg: 3, PC: uint32(i)})
+		case 2:
+			r.Emit(Event{Cycle: c, Kind: KindTrapExit, Task: int32(i % 3), Arg: 3, Arg2: 31})
+		case 3:
+			r.Emit(Event{Cycle: c, Kind: KindHalt, Task: -1, Detail: tag + "note " + strconv.Itoa(i/50) + "\xff"})
+		default:
+			r.Emit(Event{Cycle: c, Kind: KindIdle, Task: -1, Arg: 7})
+		}
+	}
+}
+
+// TestStateSharesChunksWithoutAliasing captures streams that end just
+// before, on and just after a chunk boundary, plus a limited recorder that
+// has dropped events. After the capture the source keeps emitting, and the
+// state is restored into two recorders that each emit different events.
+// Every recorder and the state must encode exactly as a fresh recorder fed
+// the same events does.
+func TestStateSharesChunksWithoutAliasing(t *testing.T) {
+	fresh := func(limit int, parts ...func(*Recorder)) []byte {
+		r := NewLimited(limit)
+		for _, p := range parts {
+			p(r)
+		}
+		return r.Encode()
+	}
+	emit := func(from uint64, n int, tag string) func(*Recorder) {
+		return func(r *Recorder) { emitN(r, from, n, tag) }
+	}
+	for _, tc := range []struct {
+		name     string
+		limit, n int
+	}{
+		{"4095", 0, chunkSize - 1},
+		{"4096", 0, chunkSize},
+		{"4097", 0, chunkSize + 1},
+		{"limited", chunkSize + 10, 2*chunkSize + 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := emit(0, tc.n, "")
+			src := NewLimited(tc.limit)
+			base(src)
+			st := src.CaptureState()
+			if tc.limit > 0 && st.Dropped == 0 {
+				t.Fatal("limited recorder dropped nothing")
+			}
+			more := emit(1<<20, 3000, "src ")
+			more(src)
+
+			// Lift the limit on the restored recorders so they append
+			// into the last chunk they copied.
+			unlimit := func(r *Recorder) { r.Limit = 0 }
+			a, b := New(), New()
+			a.RestoreState(st)
+			b.RestoreState(st)
+			extraA, extraB := emit(1<<21, 5000, "a "), emit(1<<22, 17, "b ")
+			unlimit(a)
+			extraA(a)
+			unlimit(b)
+			extraB(b)
+
+			for _, c := range []struct {
+				name string
+				got  []byte
+				want []byte
+			}{
+				{"state", st.Encode(), fresh(tc.limit, base)},
+				{"source", src.Encode(), fresh(tc.limit, base, more)},
+				{"restored a", a.Encode(), fresh(tc.limit, base, unlimit, extraA)},
+				{"restored b", b.Encode(), fresh(tc.limit, base, unlimit, extraB)},
+			} {
+				if !bytes.Equal(c.got, c.want) {
+					t.Errorf("%s encodes differently from a fresh recorder: %s", c.name, FirstDiff(c.got, c.want))
+				}
+			}
+			if a.Dropped() != st.Dropped || a.Len() != st.Len()+5000 {
+				t.Errorf("restored a holds %d events and %d drops, want %d and %d", a.Len(), a.Dropped(), st.Len()+5000, st.Dropped)
+			}
+			again := New()
+			again.RestoreState(st)
+			if !bytes.Equal(again.CaptureState().Encode(), st.Encode()) {
+				t.Error("re-captured state encodes differently")
+			}
+		})
 	}
 }
 
@@ -131,6 +251,42 @@ func TestMetricsRenderEnergy(t *testing.T) {
 	for _, want := range []string{"energy: 3000000 pJ total", "radio 42186240", "energy=2929500 pJ", "26040 pJ", "1 radio bytes, 2 uart bytes, 3 adc conversions"} {
 		if !strings.Contains(metered, want) {
 			t.Errorf("metered render missing %q:\n%s", want, metered)
+		}
+	}
+}
+
+// TestConcurrentRestoresShareChunks restores one multi-chunk state into
+// recorders on separate goroutines while the source keeps emitting; each
+// must encode as a fresh recorder fed the same events. Under -race it pins
+// the shared chunks as read-only.
+func TestConcurrentRestoresShareChunks(t *testing.T) {
+	src := New()
+	emitN(src, 0, 2*chunkSize+100, "")
+	st := src.CaptureState()
+	want := make([][]byte, 4)
+	for i := range want {
+		r := New()
+		emitN(r, 0, 2*chunkSize+100, "")
+		emitN(r, 1<<20, 3000, strconv.Itoa(i))
+		want[i] = r.Encode()
+	}
+	got := make([][]byte, len(want))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r := New()
+			r.RestoreState(st)
+			emitN(r, 1<<20, 3000, strconv.Itoa(i))
+			got[i] = r.Encode()
+		}(i)
+	}
+	emitN(src, 1<<21, 5000, "src")
+	wg.Wait()
+	for i := range got {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("restore %d encodes differently from a fresh recorder: %s", i, FirstDiff(got[i], want[i]))
 		}
 	}
 }

@@ -9,17 +9,16 @@
 // The recorder is attached through a nil-checked pointer: with no recorder
 // the emitting code performs a single pointer comparison and allocates
 // nothing, so tracing costs nothing when disabled. Events are plain values;
-// recording allocates only the backing slice.
+// the recorder stores them as pointer-free records in fixed chunks
+// (store.go), so recording allocates one chunk per 4096 events and the
+// garbage collector never scans the stream.
 //
 // On top of the raw stream the package provides a Chrome trace_event JSON
 // exporter (chrome.go; load the file in chrome://tracing or Perfetto) and
 // the Metrics snapshot types the kernel aggregates into (metrics.go).
 package trace
 
-import (
-	"fmt"
-	"strconv"
-)
+import "fmt"
 
 // Kind classifies a trace event.
 type Kind uint8
@@ -268,100 +267,4 @@ func (e Event) Format(name func(int32) string) string {
 		return fmt.Sprintf("[%d] power %s -> %s", e.Cycle, powerDevice(e.Arg), state)
 	}
 	return fmt.Sprintf("[%d] %s task=%d arg=%d arg2=%d %s", e.Cycle, e.Kind, e.Task, e.Arg, e.Arg2, e.Detail)
-}
-
-// Recorder collects events in emission order. The zero value records with
-// no bound; New returns one ready to use. A nil *Recorder is the disabled
-// state: emitters must nil-check before calling Emit (the kernel and MCU
-// do), which keeps the hot path to one pointer comparison.
-type Recorder struct {
-	// Limit caps retained events (0 = unbounded). Once full, further events
-	// are counted in Dropped instead of retained, so a runaway trace
-	// degrades to a truncated one instead of exhausting memory.
-	Limit int
-
-	events  []Event
-	dropped uint64
-}
-
-// New returns an empty unbounded recorder.
-func New() *Recorder { return &Recorder{} }
-
-// NewLimited returns a recorder retaining at most limit events.
-func NewLimited(limit int) *Recorder { return &Recorder{Limit: limit} }
-
-// Emit appends one event.
-func (r *Recorder) Emit(ev Event) {
-	if r.Limit > 0 && len(r.events) >= r.Limit {
-		r.dropped++
-		return
-	}
-	r.events = append(r.events, ev)
-}
-
-// Events returns the recorded stream in emission order. The slice is the
-// recorder's backing store; callers must not mutate it.
-func (r *Recorder) Events() []Event { return r.events }
-
-// Len returns the number of retained events.
-func (r *Recorder) Len() int { return len(r.events) }
-
-// Dropped returns how many events the Limit discarded.
-func (r *Recorder) Dropped() uint64 { return r.dropped }
-
-// Reset discards all recorded events (the Limit is kept).
-func (r *Recorder) Reset() { r.events = r.events[:0]; r.dropped = 0 }
-
-// encodeLineFields presizes the Encode line fields other than the cycle
-// stamp and the detail: kernel streams are mostly trap enter/exit lines
-// whose small integers average about 13 bytes with separators and quotes.
-const encodeLineFields = 16
-
-// Encode renders the stream as a canonical text dump, one event per line —
-// the byte-identical form the determinism tests compare. Each line is
-// "cycle kind task arg arg2 pc detail" with integers in decimal and the
-// detail Go-quoted (the rendering of fmt's "%d %d %d %d %d %d %q\n").
-func (r *Recorder) Encode() []byte {
-	// Size every line by the last (largest) cycle stamp, so one allocation
-	// usually holds the whole dump.
-	size := 0
-	if n := len(r.events); n > 0 {
-		var digits [20]byte
-		size = n * (encodeLineFields + len(strconv.AppendUint(digits[:0], r.events[n-1].Cycle, 10)))
-	}
-	for i := range r.events {
-		size += len(r.events[i].Detail)
-	}
-	b := make([]byte, 0, size)
-	for i := range r.events {
-		e := &r.events[i]
-		b = strconv.AppendUint(b, e.Cycle, 10)
-		b = append(b, ' ')
-		b = strconv.AppendUint(b, uint64(e.Kind), 10)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, int64(e.Task), 10)
-		b = append(b, ' ')
-		b = strconv.AppendUint(b, e.Arg, 10)
-		b = append(b, ' ')
-		b = strconv.AppendUint(b, e.Arg2, 10)
-		b = append(b, ' ')
-		b = strconv.AppendUint(b, uint64(e.PC), 10)
-		b = append(b, ' ')
-		b = strconv.AppendQuote(b, e.Detail)
-		b = append(b, '\n')
-	}
-	return b
-}
-
-// TaskNames derives the id-to-name table from the spawn events in the
-// stream — the exporter and Logf adapter use it so no side-channel name
-// registry is needed.
-func TaskNames(events []Event) map[int32]string {
-	names := make(map[int32]string)
-	for _, e := range events {
-		if e.Kind == KindTaskSpawn && e.Task >= 0 {
-			names[e.Task] = e.Detail
-		}
-	}
-	return names
 }

@@ -73,7 +73,7 @@ func TestTaskNames(t *testing.T) {
 		{Kind: KindTaskSpawn, Task: 1, Detail: "beta"},
 		{Kind: KindTaskExit, Task: 0, Detail: "exit"},
 	}
-	names := TaskNames(events)
+	names := recorderOf(events).TaskNames()
 	if names[0] != "alpha" || names[1] != "beta" || len(names) != 2 {
 		t.Fatalf("TaskNames = %v", names)
 	}
@@ -130,7 +130,7 @@ func TestWriteChrome(t *testing.T) {
 		{Cycle: 500, Kind: KindHalt, Task: -1, Detail: "done"},
 	}
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, events, ChromeOptions{ClockHz: 1e6, ServiceName: func(c uint64) string { return "branch" }}); err != nil {
+	if err := recorderOf(events).WriteChrome(&buf, ChromeOptions{ClockHz: 1e6, ServiceName: func(c uint64) string { return "branch" }}); err != nil {
 		t.Fatal(err)
 	}
 	var file struct {
@@ -190,7 +190,7 @@ func TestWriteChrome(t *testing.T) {
 
 	// Export is deterministic byte-for-byte.
 	var buf2 bytes.Buffer
-	if err := WriteChrome(&buf2, events, ChromeOptions{ClockHz: 1e6, ServiceName: func(c uint64) string { return "branch" }}); err != nil {
+	if err := recorderOf(events).WriteChrome(&buf2, ChromeOptions{ClockHz: 1e6, ServiceName: func(c uint64) string { return "branch" }}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -206,7 +206,7 @@ func TestWriteChromeUnpairedTrap(t *testing.T) {
 		{Cycle: 250, Kind: KindBudget, Task: -1, Arg: 250},
 	}
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, events, ChromeOptions{ClockHz: 1e6}); err != nil {
+	if err := recorderOf(events).WriteChrome(&buf, ChromeOptions{ClockHz: 1e6}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "ktrap:class4") {
