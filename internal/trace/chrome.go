@@ -80,79 +80,77 @@ func (s *stream) WriteChrome(w io.Writer, opt ChromeOptions) error {
 			curTask = -1
 		}
 	}
-	for _, chunk := range s.chunks {
-		for i := range chunk {
-			e := &chunk[i]
-			lastC = e.Cycle
-			switch e.Kind {
-			case KindSwitch:
+	for i := 0; i < s.n; i++ {
+		e := s.rec(i)
+		lastC = e.Cycle
+		switch e.Kind {
+		case KindSwitch:
+			endRun(e.Cycle)
+			curTask, curStart = e.Task, e.Cycle
+		case KindTaskExit:
+			if e.Task == curTask {
 				endRun(e.Cycle)
-				curTask, curStart = e.Task, e.Cycle
-			case KindTaskExit:
-				if e.Task == curTask {
-					endRun(e.Cycle)
-				}
-				c.instant("task-exit: ", s.detail(e.detail), e)
-				c.args1("stack_peak", e.Arg)
-			case KindTrapEnter:
-				trapOpen[e.Task] = *e
-			case KindTrapExit:
-				if enter, ok := trapOpen[e.Task]; ok {
-					delete(trapOpen, e.Task)
-					c.slice(c.ktrapName(e.Arg), e.Task, enter.Cycle, e.Cycle)
-					c.args1("charged_cycles", e.Arg2)
-				}
-			case KindIdle:
-				c.slice("idle", -1, e.Cycle-e.Arg, e.Cycle)
-				c.end()
-			case KindBoot:
-				c.instant("boot", "", e)
-				c.args1("init_cycles", e.Arg)
-			case KindProgLoad:
-				c.instant("load: ", s.detail(e.detail), e)
-				c.args2("flash_base", e.Arg, "words", e.Arg2)
-			case KindTaskSpawn:
-				c.instant("spawn: ", s.detail(e.detail), e)
-				c.args2("region_base", e.Arg, "region_size", e.Arg2)
-			case KindPreempt:
-				c.instant("preempt", "", e)
-				c.end()
-			case KindReloc:
-				c.instant("stack-reloc", "", e)
-				c.args2("bytes", e.Arg, "cycles", e.Arg2)
-			case KindRelease:
-				c.instant("region-release", "", e)
-				c.args2("bytes", e.Arg, "cycles", e.Arg2)
-			case KindMemFault:
-				c.instant("mem-fault", "", e)
-				c.args2("addr", e.Arg, "pc", uint64(e.PC))
-			case KindWatch:
-				name := "watch-read"
-				if e.Arg2 != 0 {
-					name = "watch-write"
-				}
-				c.instant(name, "", e)
-				c.args2("addr", e.Arg, "pc", uint64(e.PC))
-			case KindSleep:
-				c.instant("sleep", "", e)
-				c.args1("wake_at", e.Arg)
-			case KindWake:
-				c.instant("wake", "", e)
-				c.end()
-			case KindInterrupt:
-				c.instant("interrupt", "", e)
-				c.args1("vector", e.Arg)
-			case KindHalt:
-				endRun(e.Cycle)
-				c.instant("halt: ", s.detail(e.detail), e)
-				c.end()
-			case KindBudget:
-				c.instant("budget-exhausted", "", e)
-				c.args1("limit", e.Arg)
 			}
-			if c.err != nil {
-				return c.err
+			c.instant("task-exit: ", s.detail(e.detail), e)
+			c.args1("stack_peak", e.Arg)
+		case KindTrapEnter:
+			trapOpen[e.Task] = *e
+		case KindTrapExit:
+			if enter, ok := trapOpen[e.Task]; ok {
+				delete(trapOpen, e.Task)
+				c.slice(c.ktrapName(e.Arg), e.Task, enter.Cycle, e.Cycle)
+				c.args1("charged_cycles", e.Arg2)
 			}
+		case KindIdle:
+			c.slice("idle", -1, e.Cycle-e.Arg, e.Cycle)
+			c.end()
+		case KindBoot:
+			c.instant("boot", "", e)
+			c.args1("init_cycles", e.Arg)
+		case KindProgLoad:
+			c.instant("load: ", s.detail(e.detail), e)
+			c.args2("flash_base", e.Arg, "words", e.Arg2)
+		case KindTaskSpawn:
+			c.instant("spawn: ", s.detail(e.detail), e)
+			c.args2("region_base", e.Arg, "region_size", e.Arg2)
+		case KindPreempt:
+			c.instant("preempt", "", e)
+			c.end()
+		case KindReloc:
+			c.instant("stack-reloc", "", e)
+			c.args2("bytes", e.Arg, "cycles", e.Arg2)
+		case KindRelease:
+			c.instant("region-release", "", e)
+			c.args2("bytes", e.Arg, "cycles", e.Arg2)
+		case KindMemFault:
+			c.instant("mem-fault", "", e)
+			c.args2("addr", e.Arg, "pc", uint64(e.PC))
+		case KindWatch:
+			name := "watch-read"
+			if e.Arg2 != 0 {
+				name = "watch-write"
+			}
+			c.instant(name, "", e)
+			c.args2("addr", e.Arg, "pc", uint64(e.PC))
+		case KindSleep:
+			c.instant("sleep", "", e)
+			c.args1("wake_at", e.Arg)
+		case KindWake:
+			c.instant("wake", "", e)
+			c.end()
+		case KindInterrupt:
+			c.instant("interrupt", "", e)
+			c.args1("vector", e.Arg)
+		case KindHalt:
+			endRun(e.Cycle)
+			c.instant("halt: ", s.detail(e.detail), e)
+			c.end()
+		case KindBudget:
+			c.instant("budget-exhausted", "", e)
+			c.args1("limit", e.Arg)
+		}
+		if c.err != nil {
+			return c.err
 		}
 	}
 	endRun(lastC)

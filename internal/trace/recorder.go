@@ -34,7 +34,9 @@ type stream struct {
 func (s *stream) Len() int { return s.n }
 
 // At returns the i-th retained event, 0 <= i < Len.
-func (s *stream) At(i int) Event { return s.event(&s.chunks[i/chunkSize][i%chunkSize]) }
+func (s *stream) At(i int) Event { return s.event(s.rec(i)) }
+
+func (s *stream) rec(i int) *record { return &s.chunks[i/chunkSize][i%chunkSize] }
 
 func (s *stream) event(r *record) Event {
 	return Event{Cycle: r.Cycle, Kind: r.Kind, Task: r.Task, Arg: r.Arg, Arg2: r.Arg2, PC: r.PC, Detail: s.detail(r.detail)}
@@ -53,11 +55,9 @@ func (s *stream) Events() []Event {
 	if s.n == 0 {
 		return nil
 	}
-	evs := make([]Event, 0, s.n)
-	for _, c := range s.chunks {
-		for i := range c {
-			evs = append(evs, s.event(&c[i]))
-		}
+	evs := make([]Event, s.n)
+	for i := range evs {
+		evs[i] = s.At(i)
 	}
 	return evs
 }
@@ -67,11 +67,9 @@ func (s *stream) Events() []Event {
 // registry is needed.
 func (s *stream) TaskNames() map[int32]string {
 	names := make(map[int32]string)
-	for _, c := range s.chunks {
-		for i := range c {
-			if r := &c[i]; r.Kind == KindTaskSpawn && r.Task >= 0 {
-				names[r.Task] = s.detail(r.detail)
-			}
+	for i := 0; i < s.n; i++ {
+		if r := s.rec(i); r.Kind == KindTaskSpawn && r.Task >= 0 {
+			names[r.Task] = s.detail(r.detail)
 		}
 	}
 	return names
@@ -92,35 +90,31 @@ func (s *stream) Encode() []byte {
 	size := 0
 	if s.n > 0 {
 		var digits [20]byte
-		size = s.n * (encodeLineFields + len(strconv.AppendUint(digits[:0], s.At(s.n-1).Cycle, 10)))
+		size = s.n * (encodeLineFields + len(strconv.AppendUint(digits[:0], s.rec(s.n-1).Cycle, 10)))
 	}
-	for _, c := range s.chunks {
-		for i := range c {
-			size += len(s.detail(c[i].detail))
-		}
+	for i := 0; i < s.n; i++ {
+		size += len(s.detail(s.rec(i).detail))
 	}
 	b := make([]byte, 0, size)
-	for _, c := range s.chunks {
-		for i := range c {
-			r := &c[i]
-			b = strconv.AppendUint(b, r.Cycle, 10)
-			b = append(b, ' ')
-			b = strconv.AppendUint(b, uint64(r.Kind), 10)
-			b = append(b, ' ')
-			b = strconv.AppendInt(b, int64(r.Task), 10)
-			b = append(b, ' ')
-			b = strconv.AppendUint(b, r.Arg, 10)
-			b = append(b, ' ')
-			b = strconv.AppendUint(b, r.Arg2, 10)
-			b = append(b, ' ')
-			b = strconv.AppendUint(b, uint64(r.PC), 10)
-			b = append(b, ' ')
-			if r.detail == 0 {
-				b = append(b, "\"\"\n"...)
-			} else {
-				b = strconv.AppendQuote(b, s.details[r.detail-1])
-				b = append(b, '\n')
-			}
+	for i := 0; i < s.n; i++ {
+		r := s.rec(i)
+		b = strconv.AppendUint(b, r.Cycle, 10)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, uint64(r.Kind), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(r.Task), 10)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, r.Arg, 10)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, r.Arg2, 10)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, uint64(r.PC), 10)
+		b = append(b, ' ')
+		if r.detail == 0 {
+			b = append(b, "\"\"\n"...)
+		} else {
+			b = strconv.AppendQuote(b, s.details[r.detail-1])
+			b = append(b, '\n')
 		}
 	}
 	return b
