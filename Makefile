@@ -8,7 +8,8 @@
 #                       and the profiler
 #   make fuzz           every fuzz target for FUZZTIME (default 10s) each: the
 #                       differential and adversarial-image campaigns, block
-#                       invalidation, snapshot round-trip, trace export
+#                       invalidation, snapshot round-trip, trace export,
+#                       Chrome number rendering
 #   make perfbench      the repository benchmark's own tests (nested module
 #                       perfbench/: golden gate, negative tests, smoke runs)
 #   make bench          run the seven benchmarks profiled vs unprofiled and
@@ -104,7 +105,8 @@ FUZZ_TARGETS = \
 	./internal/experiment:FuzzAdversarialImage \
 	./internal/mcu:FuzzBlockInvalidation \
 	./internal/snapshot:FuzzSnapshotRoundTrip \
-	./internal/trace:FuzzTraceExport
+	./internal/trace:FuzzTraceExport \
+	./internal/trace:FuzzChromeNumber
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -154,6 +154,15 @@ type Machine struct {
 	// hookSeq counts Arm calls, the next hook.seq. Only arming and firing
 	// read it, so it sits apart from the fields the run loop tests.
 	hookSeq uint64
+
+	// flashSum caches the digest of the flash contents that snapshots are
+	// validated by (flashHash); flashSumOK marks it current. LoadFlash,
+	// the only flash writer, clears the mark, and AdoptImage hands the
+	// parent's digest over with its image. A parent's digest is filled and
+	// read under its adoptMu, so captures of a shared parent and its
+	// adopters may run concurrently.
+	flashSum   [32]byte
+	flashSumOK bool
 }
 
 // New returns a reset machine with empty flash.
@@ -215,6 +224,7 @@ func (m *Machine) AdoptImage(parent *Machine) {
 	parent.adoptMu.Lock()
 	defer parent.adoptMu.Unlock()
 	m.flash = parent.flash
+	m.flashSum, m.flashSumOK = parent.flashDigest(), true
 	m.uops = parent.uops
 	m.codeEnd = parent.codeEnd
 	m.flashShared, m.uopsShared = true, true
@@ -251,6 +261,7 @@ func (m *Machine) LoadFlash(base uint32, words []uint16) error {
 	}
 	m.ownFlash()
 	copy(m.flash[base:], words)
+	m.flashSumOK = false
 	// Drop the cached entries for the patched words, and for base-1: a
 	// cached 32-bit instruction starting there holds the old word at base as
 	// its operand word. Words past the cache's end hold no entry.

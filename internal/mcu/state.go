@@ -83,8 +83,25 @@ type MachineState struct {
 	Dev DeviceState
 }
 
-// flashHash digests the current flash contents (little-endian words).
+// flashHash returns the SHA-256 digest of the current flash contents
+// (little-endian words), hashing them only when they changed since the
+// last digest.
 func (m *Machine) flashHash() [32]byte {
+	m.adoptMu.Lock()
+	defer m.adoptMu.Unlock()
+	return m.flashDigest()
+}
+
+// flashDigest is flashHash for a caller holding adoptMu.
+func (m *Machine) flashDigest() [32]byte {
+	if !m.flashSumOK {
+		m.flashSum, m.flashSumOK = m.hashFlash(), true
+	}
+	return m.flashSum
+}
+
+// hashFlash digests the flash contents.
+func (m *Machine) hashFlash() [32]byte {
 	h := sha256.New()
 	var buf [512]byte
 	for i := 0; i < FlashWords; i += 256 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -259,6 +260,107 @@ func TestRestoreRejectsBadGeometry(t *testing.T) {
 	sampled.Arm(HookSample, 4096, 4096, func(uint64) {})
 	if err := sampled.RestoreState(st); !errors.Is(err, ErrSamplerMismatch) {
 		t.Errorf("restore with different sampler interval: %v, want ErrSamplerMismatch", err)
+	}
+}
+
+// TestFlashDigestFollowsLoadFlash: the cached flash digest must not
+// outlive a flash write. A snapshot captured before a one-word LoadFlash
+// no longer restores, and the machine's next capture carries the digest of
+// its new contents.
+func TestFlashDigestFollowsLoadFlash(t *testing.T) {
+	m := load(t, stateWorkSrc)
+	st, err := m.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreState(st); err != nil {
+		t.Fatalf("restore onto the same image: %v", err)
+	}
+	if err := m.LoadFlash(3, []uint16{m.FlashWord(3) ^ 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreState(st); !errors.Is(err, ErrImageMismatch) {
+		t.Errorf("restore after a one-word LoadFlash: %v, want ErrImageMismatch", err)
+	}
+	st2, err := m.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.FlashHash != m.hashFlash() || st2.FlashHash == st.FlashHash {
+		t.Error("capture after LoadFlash carries a stale flash digest")
+	}
+}
+
+// TestAdoptImageInheritsFlashDigest: an adopter takes its parent's digest
+// with the image, hashing the parent once if it has no digest yet, so it
+// restores the parent's snapshots without hashing flash itself. After its
+// own LoadFlash it rejects them, while the parent still accepts them.
+func TestAdoptImageInheritsFlashDigest(t *testing.T) {
+	parent := load(t, stateWorkSrc)
+	if parent.flashSumOK {
+		t.Fatal("freshly loaded machine has a cached digest")
+	}
+	child := New()
+	child.AdoptImage(parent)
+	if !parent.flashSumOK || !child.flashSumOK || child.flashSum != parent.hashFlash() {
+		t.Fatal("AdoptImage did not hand over the parent's digest")
+	}
+	st, err := parent.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Restore must use the inherited digest: a wrong one that it rejects
+	// shows no hash was recomputed.
+	saved := child.flashSum
+	child.flashSum[0] ^= 0xFF
+	if err := child.RestoreState(st); !errors.Is(err, ErrImageMismatch) {
+		t.Fatalf("restore ignored the cached digest: %v", err)
+	}
+	child.flashSum = saved
+	if err := child.RestoreState(st); err != nil {
+		t.Fatalf("adopter restoring its parent's snapshot: %v", err)
+	}
+	if err := child.LoadFlash(0, []uint16{child.FlashWord(0) ^ 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := child.RestoreState(st); !errors.Is(err, ErrImageMismatch) {
+		t.Errorf("adopter restore after its own LoadFlash: %v, want ErrImageMismatch", err)
+	}
+	if err := parent.RestoreState(st); err != nil {
+		t.Errorf("parent restore after the adopter's LoadFlash: %v", err)
+	}
+}
+
+// TestFlashDigestConcurrentAdopters: adopters of one parent and captures
+// of the parent may run at once, while the first of them fills the
+// parent's digest; every capture must carry the image's digest.
+func TestFlashDigestConcurrentAdopters(t *testing.T) {
+	parent := load(t, stateWorkSrc)
+	want := parent.hashFlash()
+	var wg sync.WaitGroup
+	sums := make([][32]byte, 8)
+	errs := make([]error, len(sums))
+	for i := range sums {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m := parent
+			if i%2 == 1 {
+				m = New()
+				m.AdoptImage(parent)
+			}
+			st, err := m.CaptureState()
+			if err == nil {
+				sums[i] = st.FlashHash
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i, sum := range sums {
+		if errs[i] != nil || sum != want {
+			t.Errorf("goroutine %d: capture err %v, digest matches image %v", i, errs[i], sum == want)
+		}
 	}
 }
 

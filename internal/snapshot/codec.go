@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -459,21 +460,24 @@ func (e *enc) recorderState(st *trace.RecorderState) {
 	e.u64(st.Dropped)
 	n := st.Len()
 	e.count(n)
-	size := n * eventMinSize
-	for i := 0; i < n; i++ {
-		size += len(st.At(i).Detail)
-	}
-	e.b = slices.Grow(e.b, size)
-	for i := 0; i < n; i++ {
-		ev := st.At(i)
-		e.u64(ev.Cycle)
-		e.u8(uint8(ev.Kind))
-		e.u32(uint32(ev.Task))
-		e.u64(ev.Arg)
-		e.u64(ev.Arg2)
-		e.u32(ev.PC)
-		e.str(ev.Detail)
-	}
+	e.b = slices.Grow(e.b, n*eventMinSize+st.DetailBytes())
+	e.b = st.AppendEvents(e.b, appendEvent)
+}
+
+// appendEvent writes one trace event: its fixed eventMinSize-byte part in
+// one put, then its detail.
+func appendEvent(b []byte, ev trace.Event) []byte {
+	at := len(b)
+	b = slices.Grow(b, eventMinSize)[:at+eventMinSize]
+	p := b[at:]
+	binary.LittleEndian.PutUint64(p[0:], ev.Cycle)
+	p[8] = uint8(ev.Kind)
+	binary.LittleEndian.PutUint32(p[9:], uint32(ev.Task))
+	binary.LittleEndian.PutUint64(p[13:], ev.Arg)
+	binary.LittleEndian.PutUint64(p[21:], ev.Arg2)
+	binary.LittleEndian.PutUint32(p[29:], ev.PC)
+	binary.LittleEndian.PutUint32(p[33:], uint32(len(ev.Detail)))
+	return append(b, ev.Detail...)
 }
 
 // recorderState decodes the trace section by emitting its events into a

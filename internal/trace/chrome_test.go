@@ -3,10 +3,15 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 // edgeDetails exercise every escaping rule of the JSON and Go-quoted
@@ -278,4 +283,131 @@ func FuzzTraceExport(f *testing.F) {
 			t.Fatalf("Encode differs from the reference %s", FirstDiff(got, want))
 		}
 	})
+}
+
+// TestTrapPairsManyOpenTasks fills the pairing table with 10^5 distinct
+// tasks, each holding an open trap, under id patterns that defeat a weak
+// hash: consecutive, descending, strided by 2^14 and random. The mean probe
+// length must stay a small constant, so an export of such a stream is
+// linear in its length, and every window must pair with its own enter.
+func TestTrapPairsManyOpenTasks(t *testing.T) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(5))
+	seen := map[int32]bool{}
+	for name, id := range map[string]func(i int) int32{
+		"consecutive": func(i int) int32 { return int32(i) },
+		"descending":  func(i int) int32 { return math.MaxInt32 - int32(i) },
+		"strided":     func(i int) int32 { return int32(i) << 14 },
+		"random": func(int) int32 {
+			for {
+				if id := int32(rng.Uint32()); !seen[id] {
+					seen[id] = true
+					return id
+				}
+			}
+		},
+	} {
+		p := newTrapPairs()
+		tasks := make([]int32, n)
+		for i := range tasks {
+			tasks[i] = id(i)
+			p.enter(tasks[i], uint64(i), uint64(i%14))
+		}
+		probes := 0
+		mask := uint64(len(p.slots) - 1)
+		for i, sl := range p.slots {
+			if sl.taken {
+				probes += int((uint64(i)-p.home(sl.task))&mask) + 1
+			}
+		}
+		t.Logf("%s %v", name, float64(probes)/float64(p.used))
+		if mean := float64(probes) / float64(p.used); mean > 4 {
+			t.Errorf("%s ids: %.1f probes per lookup over %d tasks, want a small constant", name, mean, p.used)
+		}
+		for i := n - 1; i >= 0; i -= 2 {
+			from, ok := p.exit(tasks[i])
+			if !ok || tasks[from] != tasks[i] {
+				t.Fatalf("%s ids: exit of task %d paired with enter %d (ok %v)", name, tasks[i], from, ok)
+			}
+		}
+	}
+}
+
+// TestWriteChromeManyOpenTraps exports a stream where 10^5 distinct tasks
+// each leave a trap open, then close half of them in reverse order, and
+// requires the reference bytes within a generous time bound: a pairing
+// that scanned the open enters would take ~10^10 steps.
+func TestWriteChromeManyOpenTraps(t *testing.T) {
+	const n = 100_000
+	events := make([]Event, 0, n+n/2+1)
+	for i := 0; i < n; i++ {
+		events = append(events, Event{Cycle: uint64(i) * 10, Kind: KindTrapEnter, Task: int32(i) * 7, Arg: uint64(i % 14)})
+	}
+	for i := n - 1; i >= 0; i -= 2 {
+		events = append(events, Event{Cycle: uint64(2*n-i) * 10, Kind: KindTrapExit, Task: int32(i) * 7, Arg: uint64(i % 14), Arg2: 31})
+	}
+	events = append(events, Event{Cycle: 30 * n, Kind: KindBudget, Task: -1, Arg: 30 * n})
+	r := recorderOf(events)
+	start := time.Now()
+	if err := r.WriteChrome(io.Discard, ChromeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("export of %d open traps took %v", n, d)
+	}
+	requireChromeMatchesReference(t, events, ChromeOptions{})
+}
+
+// TestWriteChromeUnpairedInTaskOrder checks that enters still open at
+// stream end are flushed as slices to the last stamp in task order,
+// whatever order they were opened in, that a re-entered task keeps only
+// its latest enter, and that an exit with no open enter renders nothing.
+func TestWriteChromeUnpairedInTaskOrder(t *testing.T) {
+	events := []Event{
+		{Cycle: 5, Kind: KindTrapExit, Task: 40, Arg: 9},
+		{Cycle: 10, Kind: KindTrapEnter, Task: 40, Arg: 1},
+		{Cycle: 20, Kind: KindTrapEnter, Task: -1, Arg: 2},
+		{Cycle: 30, Kind: KindTrapEnter, Task: 3, Arg: 3},
+		{Cycle: 40, Kind: KindTrapEnter, Task: math.MaxInt32, Arg: 4},
+		{Cycle: 50, Kind: KindTrapEnter, Task: 7, Arg: 5},
+		{Cycle: 60, Kind: KindTrapExit, Task: 7, Arg: 5},
+		{Cycle: 65, Kind: KindTrapExit, Task: 7, Arg: 5},
+		{Cycle: 70, Kind: KindTrapEnter, Task: 3, Arg: 6},
+		{Cycle: 80, Kind: KindTrapEnter, Task: math.MinInt32, Arg: 7},
+		{Cycle: 90, Kind: KindBudget, Task: -1, Arg: 90},
+	}
+	var out bytes.Buffer
+	if err := recorderOf(events).WriteChrome(&out, ChromeOptions{ClockHz: 1e6}); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string
+			TS   float64
+			Dur  float64
+			TID  int
+		}
+	}
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	evs := doc.TraceEvents
+	if len(evs) != 9 {
+		t.Fatalf("%d events exported, want 2 metadata, 1 paired, the budget and 5 unpaired", len(evs))
+	}
+	var got []string
+	for _, e := range evs[len(evs)-5:] {
+		got = append(got, fmt.Sprintf("%s@%v+%v/tid%d", e.Name, e.TS, e.Dur, e.TID))
+	}
+	want := []string{
+		"ktrap:class7@80+10/tid0",
+		"ktrap:class2@20+70/tid0",
+		"ktrap:class6@70+20/tid4",
+		"ktrap:class1@10+80/tid41",
+		"ktrap:class4@40+50/tid2147483648",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("unpaired flush = %v, want %v", got, want)
+	}
+	requireChromeMatchesReference(t, events, ChromeOptions{ClockHz: 1e6})
 }

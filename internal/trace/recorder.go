@@ -62,6 +62,32 @@ func (s *stream) Events() []Event {
 	return evs
 }
 
+// DetailBytes returns the summed length of the retained events' details,
+// so a caller can size a buffer for AppendEvents.
+func (s *stream) DetailBytes() int {
+	n := 0
+	for _, c := range s.chunks {
+		for i := range c {
+			if d := c[i].detail; d != 0 {
+				n += len(s.details[d-1])
+			}
+		}
+	}
+	return n
+}
+
+// AppendEvents appends every retained event to b in emission order, in the
+// form put renders, and returns the extended slice. It reads the stored
+// records in place, so a serializer pays no per-event call to At.
+func (s *stream) AppendEvents(b []byte, put func(b []byte, ev Event) []byte) []byte {
+	for _, c := range s.chunks {
+		for i := range c {
+			b = put(b, s.event(&c[i]))
+		}
+	}
+	return b
+}
+
 // TaskNames derives the id-to-name table from the spawn events in the
 // stream — the exporter and Logf adapter use it so no side-channel name
 // registry is needed.
@@ -148,8 +174,8 @@ func (s *stream) share(writable bool) stream {
 // state: emitters must nil-check before calling Emit (the kernel and MCU
 // do), which keeps the hot path to one pointer comparison.
 //
-// Len, At, Events, Encode, WriteChrome and TaskNames read the recorded
-// stream.
+// Len, At, Events, AppendEvents, DetailBytes, Encode, WriteChrome and
+// TaskNames read the recorded stream.
 type Recorder struct {
 	// Limit caps retained events (0 = unbounded). Once full, further events
 	// are counted in Dropped instead of retained, so a runaway trace

@@ -2,8 +2,8 @@ package trace
 
 // RecorderState is the serializable state of a Recorder: the retained event
 // stream plus the drop ledger, so a restored run's final trace is
-// byte-identical to an uninterrupted one. Len, At, Events, Encode,
-// WriteChrome and TaskNames read its stream.
+// byte-identical to an uninterrupted one. Len, At, Events, AppendEvents,
+// DetailBytes, Encode, WriteChrome and TaskNames read its stream.
 //
 // A state is immutable. It shares the recorder's full chunks, which are
 // never written again, and owns copies of the partial last chunk and the

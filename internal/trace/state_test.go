@@ -290,3 +290,36 @@ func TestConcurrentRestoresShareChunks(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendEventsReadsEveryRecord checks the serializer's view of a
+// stream against At: AppendEvents hands put every event in order, across
+// chunk boundaries and on a captured state, and DetailBytes sums their
+// details' lengths.
+func TestAppendEventsReadsEveryRecord(t *testing.T) {
+	for _, n := range []int{0, 1, chunkSize, 2*chunkSize + 3} {
+		r := New()
+		emitN(r, 0, n, "s")
+		for _, s := range []*stream{&r.stream, &r.CaptureState().stream} {
+			var got []Event
+			s.AppendEvents(nil, func(b []byte, ev Event) []byte {
+				got = append(got, ev)
+				return b
+			})
+			want, details := s.Events(), 0
+			for _, ev := range want {
+				details += len(ev.Detail)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d events: AppendEvents passed %d", n, len(got))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%d events: event %d = %+v, At gives %+v", n, i, got[i], want[i])
+				}
+			}
+			if s.DetailBytes() != details {
+				t.Errorf("%d events: DetailBytes = %d, want %d", n, s.DetailBytes(), details)
+			}
+		}
+	}
+}
